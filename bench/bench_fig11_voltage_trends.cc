@@ -10,7 +10,7 @@
  */
 #include <cstdio>
 
-#include "core/trends.h"
+#include "runner/campaign.h"
 #include "util/strings.h"
 #include "util/table.h"
 
@@ -21,7 +21,12 @@ main()
 {
     std::printf("== Fig. 11: voltage trends ==\n\n");
 
-    std::vector<TrendPoint> points = computeTrends();
+    Result<TrendsCampaign> campaign = runTrendsCampaign({}, RunnerOptions{});
+    if (!campaign.ok()) {
+        std::fprintf(stderr, "%s\n", campaign.error().toString().c_str());
+        return 1;
+    }
+    const std::vector<TrendPoint>& points = campaign.value().points;
 
     Table table({"node", "year", "interface", "Vdd", "Vint", "Vpp",
                  "Vbl"});

@@ -9,7 +9,7 @@
  */
 #include <cstdio>
 
-#include "core/trends.h"
+#include "runner/campaign.h"
 #include "util/strings.h"
 #include "util/table.h"
 
@@ -20,7 +20,12 @@ main()
 {
     std::printf("== Fig. 12: data and row timing trends ==\n\n");
 
-    std::vector<TrendPoint> points = computeTrends();
+    Result<TrendsCampaign> campaign = runTrendsCampaign({}, RunnerOptions{});
+    if (!campaign.ok()) {
+        std::fprintf(stderr, "%s\n", campaign.error().toString().c_str());
+        return 1;
+    }
+    const std::vector<TrendPoint>& points = campaign.value().points;
 
     Table table({"node", "interface", "rate/pin", "prefetch",
                  "core clock", "tRC"});

@@ -11,7 +11,7 @@
  */
 #include <cstdio>
 
-#include "core/trends.h"
+#include "runner/campaign.h"
 #include "util/strings.h"
 #include "util/table.h"
 
@@ -23,7 +23,12 @@ main()
     std::printf("== Fig. 13: energy consumption and die area trends "
                 "==\n\n");
 
-    std::vector<TrendPoint> points = computeTrends();
+    Result<TrendsCampaign> campaign = runTrendsCampaign({}, RunnerOptions{});
+    if (!campaign.ok()) {
+        std::fprintf(stderr, "%s\n", campaign.error().toString().c_str());
+        return 1;
+    }
+    const std::vector<TrendPoint>& points = campaign.value().points;
 
     Table table({"node", "year", "device", "die area", "energy/bit",
                  "IDD0", "IDD4R"});

@@ -24,7 +24,6 @@
 
 #include "core/model.h"
 #include "core/montecarlo.h"
-#include "core/sensitivity.h"
 #include "core/variant_evaluator.h"
 #include "dsl/parser.h"
 #include "dsl/writer.h"
@@ -126,9 +125,9 @@ BM_SensitivitySweepGrouped(benchmark::State& state)
 {
     DramDescription desc = preset1GbDdr3(55e-9, 16, 1333);
     for (auto _ : state) {
-        SensitivityAnalyzer analyzer(desc);
-        auto results = analyzer.analyze(0.20);
-        benchmark::DoNotOptimize(results.size());
+        auto campaign = runSensitivityCampaign(
+            desc, 0.20, SweepMode::Grouped, RunnerOptions{});
+        benchmark::DoNotOptimize(campaign.ok());
     }
 }
 BENCHMARK(BM_SensitivitySweepGrouped);

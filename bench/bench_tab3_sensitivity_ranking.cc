@@ -12,17 +12,33 @@
  *    logic gates, logic device widths) climb toward DDR5.
  */
 #include <cstdio>
+#include <cstdlib>
 
 #include <vector>
 
-#include "core/sensitivity.h"
 #include "presets/presets.h"
+#include "runner/campaign.h"
 #include "util/strings.h"
 #include "util/table.h"
 
 using namespace vdram;
 
 namespace {
+
+/** The +/-20 % sensitivity Pareto of @p desc; exits non-zero when the
+ *  campaign fails. */
+std::vector<SensitivityResult>
+sensitivityOf(const DramDescription& desc,
+              SweepMode mode = SweepMode::Grouped)
+{
+    Result<SensitivityCampaign> campaign =
+        runSensitivityCampaign(desc, 0.20, mode, RunnerOptions{});
+    if (!campaign.ok()) {
+        std::fprintf(stderr, "%s\n", campaign.error().toString().c_str());
+        std::exit(1);
+    }
+    return std::move(campaign).value().results;
+}
 
 /** Drop Vdd (not shown in the paper's chart) and return the top 10. */
 std::vector<SensitivityResult>
@@ -56,12 +72,9 @@ main()
 {
     std::printf("== Table III: top 10 sensitivity ranking ==\n\n");
 
-    SensitivityAnalyzer sdr(preset128MbSdr170());
-    SensitivityAnalyzer ddr3(preset2GbDdr3_55());
-    SensitivityAnalyzer ddr5(preset16GbDdr5_18());
-    auto top_sdr = topTen(sdr.analyze(0.20));
-    auto top_ddr3 = topTen(ddr3.analyze(0.20));
-    auto top_ddr5 = topTen(ddr5.analyze(0.20));
+    auto top_sdr = topTen(sensitivityOf(preset128MbSdr170()));
+    auto top_ddr3 = topTen(sensitivityOf(preset2GbDdr3_55()));
+    auto top_ddr5 = topTen(sensitivityOf(preset16GbDdr5_18()));
 
     Table table({"#", "128M SDR 170nm", "2G DDR3 55nm", "16G DDR5 18nm"});
     for (size_t i = 0; i < 10; ++i) {

@@ -12,8 +12,8 @@
 
 #include "core/model.h"
 #include "core/report.h"
-#include "core/trends.h"
 #include "presets/presets.h"
+#include "runner/campaign.h"
 #include "util/strings.h"
 #include "util/table.h"
 
@@ -24,7 +24,12 @@ main()
 {
     // --- the trajectory ----------------------------------------------------
     std::printf("energy-per-bit trajectory (IDD7-style pattern):\n\n");
-    std::vector<TrendPoint> points = computeTrends();
+    Result<TrendsCampaign> campaign = runTrendsCampaign({}, RunnerOptions{});
+    if (!campaign.ok()) {
+        std::fprintf(stderr, "%s\n", campaign.error().toString().c_str());
+        return 1;
+    }
+    const std::vector<TrendPoint>& points = campaign.value().points;
     Table table({"device", "die", "pJ/bit", "vs previous"});
     double prev = 0;
     for (const TrendPoint& p : points) {

@@ -54,17 +54,35 @@ verificationFigure(const char* figure,
     return json.str();
 }
 
+/** A figure whose campaign failed: the error in place of the data. */
+std::string
+errorFigure(const char* figure, const Error& error)
+{
+    JsonWriter json;
+    json.beginObject();
+    json.key("figure").value(figure);
+    json.key("error").value(error.toString());
+    json.endObject();
+    return json.str();
+}
+
 /** Fig. 10 / Table III: the sensitivity Pareto of the DDR3-1333 part. */
 std::string
 sensitivityFigure(const char* figure, bool ranking_only)
 {
-    SensitivityAnalyzer analyzer(preset1GbDdr3(55e-9, 16, 1333));
-    std::vector<SensitivityResult> results =
-        analyzer.analyze(0.20, SweepMode::Grouped);
+    const DramDescription base = preset1GbDdr3(55e-9, 16, 1333);
+    Result<SensitivityCampaign> campaign = runSensitivityCampaign(
+        base, 0.20, SweepMode::Grouped, RunnerOptions{});
+    if (!campaign.ok())
+        return errorFigure(figure, campaign.error());
+    // The campaign validated the base, so its pattern power exists.
+    const double base_power = paretoPatternPower(base).value();
+    const std::vector<SensitivityResult>& results =
+        campaign.value().results;
     JsonWriter json;
     json.beginObject();
     json.key("figure").value(figure);
-    exactNumber(json.key("basePowerWatts"), analyzer.basePower());
+    exactNumber(json.key("basePowerWatts"), base_power);
     json.key("variation").rawValue("0.2");
     json.key(ranking_only ? "ranking" : "parameters").beginArray();
     for (size_t rank = 0; rank < results.size(); ++rank) {
@@ -142,16 +160,13 @@ monteCarloFigure()
     options.jobs = 1;
     Result<MonteCarloCampaign> campaign = runMonteCarloCampaign(
         preset1GbDdr3(65e-9, 16, 1066), measures, 64, {}, 42, options);
+    if (!campaign.ok())
+        return errorFigure("mc_vendor_spread", campaign.error());
     JsonWriter json;
     json.beginObject();
     json.key("figure").value("mc_vendor_spread");
     json.key("samples").value(64);
     json.key("seed").value(42);
-    if (!campaign.ok()) {
-        json.key("error").value(campaign.error().toString());
-        json.endObject();
-        return json.str();
-    }
     json.key("distributions").beginArray();
     for (const IddDistribution& d : campaign.value().distributions) {
         json.beginObject();
@@ -196,14 +211,15 @@ computeGoldenFigures()
                             ddr3_1gb_datasheet(), 65e-9, true)});
     figures.push_back({"fig10_sensitivity",
                        sensitivityFigure("fig10_sensitivity", false)});
-    const std::vector<TrendPoint> trends = computeTrends();
-    figures.push_back(
-        {"fig11_voltage_trends",
-         trendsFigure("fig11_voltage_trends", trends)});
-    figures.push_back({"fig12_timing_trends",
-                       trendsFigure("fig12_timing_trends", trends)});
-    figures.push_back({"fig13_energy_trends",
-                       trendsFigure("fig13_energy_trends", trends)});
+    Result<TrendsCampaign> trends = runTrendsCampaign({}, RunnerOptions{});
+    for (const char* figure : {"fig11_voltage_trends",
+                               "fig12_timing_trends",
+                               "fig13_energy_trends"}) {
+        figures.push_back(
+            {figure, trends.ok()
+                         ? trendsFigure(figure, trends.value().points)
+                         : errorFigure(figure, trends.error())});
+    }
     figures.push_back(
         {"tab3_sensitivity_ranking",
          sensitivityFigure("tab3_sensitivity_ranking", true)});

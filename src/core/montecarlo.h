@@ -15,7 +15,7 @@
  * The per-sample primitives (seed derivation, single-sample evaluation,
  * distribution summary) are exposed so the batch runner
  * (src/runner/campaign.h) can parallelize and checkpoint a campaign;
- * runMonteCarlo() itself routes through that runner.
+ * the study itself is runMonteCarloCampaign() there.
  */
 #ifndef VDRAM_CORE_MONTECARLO_H
 #define VDRAM_CORE_MONTECARLO_H
@@ -30,7 +30,6 @@
 namespace vdram {
 
 class DramPowerModel;
-struct RunReport;
 
 /** Relative 1-sigma variations applied per sample. */
 struct VariationModel {
@@ -144,19 +143,6 @@ std::vector<IddDistribution>
 summarizeIddDistributions(const DramPowerModel& nominalModel,
                           const std::vector<IddMeasure>& measures,
                           std::vector<std::vector<double>>& values);
-
-/**
- * Run the Monte-Carlo study: @p samples variants, evaluating the given
- * IDD measures on each. Routes through the batch runner (serially);
- * variants that fail validation are quarantined and counted in
- * @p report when given, instead of aborting the run. Implemented in
- * src/runner/campaign.cc.
- */
-std::vector<IddDistribution>
-runMonteCarlo(const DramDescription& nominal,
-              const std::vector<IddMeasure>& measures, int samples,
-              const VariationModel& variation = {},
-              std::uint64_t seed = 1, RunReport* report = nullptr);
 
 } // namespace vdram
 

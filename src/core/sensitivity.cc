@@ -5,7 +5,6 @@
 
 #include "core/model.h"
 #include "protocol/idd.h"
-#include "util/logging.h"
 
 namespace vdram {
 
@@ -215,18 +214,6 @@ sweepParameters(SweepMode mode)
     return params;
 }
 
-SensitivityAnalyzer::SensitivityAnalyzer(DramDescription base)
-    : base_(std::move(base))
-{
-    Result<double> power = patternPowerOf(base_);
-    if (power.ok()) {
-        basePower_ = power.value();
-    } else {
-        warn("sensitivity base description is invalid: " +
-             power.error().toString());
-    }
-}
-
 Result<double>
 paretoPatternPower(const DramDescription& desc)
 {
@@ -236,49 +223,6 @@ paretoPatternPower(const DramDescription& desc)
     Pattern pattern =
         makeParetoPattern(desc.spec, desc.timing);
     return model.value().evaluate(pattern).power;
-}
-
-Result<double>
-SensitivityAnalyzer::patternPowerOf(const DramDescription& desc) const
-{
-    return paretoPatternPower(desc);
-}
-
-std::vector<SensitivityResult>
-SensitivityAnalyzer::analyze(double variation, SweepMode mode) const
-{
-    std::vector<SensitivityResult> results;
-    if (!(basePower_ > 0))
-        return results;
-    for (const SweepParam& param : sweepParameters(mode)) {
-        SensitivityResult r;
-        r.name = param.name;
-
-        DramDescription up = base_;
-        param.apply(up, 1.0 + variation);
-        DramDescription down = base_;
-        param.apply(down, 1.0 - variation);
-
-        Result<double> plus = patternPowerOf(up);
-        Result<double> minus = patternPowerOf(down);
-        // Perturbations that break the description (e.g. a pitch pushed
-        // out of range) are skipped rather than aborting the sweep.
-        if (!plus.ok() || !minus.ok()) {
-            warn("sensitivity sweep skipped '" + param.name +
-                 "': " + (!plus.ok() ? plus.error() : minus.error())
-                            .toString());
-            continue;
-        }
-        r.plus = plus.value() / basePower_ - 1.0;
-        r.minus = minus.value() / basePower_ - 1.0;
-
-        results.push_back(std::move(r));
-    }
-    std::sort(results.begin(), results.end(),
-              [](const SensitivityResult& a, const SensitivityResult& b) {
-                  return a.spread() > b.spread();
-              });
-    return results;
 }
 
 } // namespace vdram

@@ -10,6 +10,9 @@
  * grouped ("gate oxide thickness", "specific wire capacitance"), and the
  * peripheral logic described by aggregate knobs (number of gates, device
  * widths, layout/wiring density) applied across all logic blocks.
+ *
+ * The sweep itself runs as a batch-runner campaign:
+ * runSensitivityCampaign() in runner/campaign.h.
  */
 #ifndef VDRAM_CORE_SENSITIVITY_H
 #define VDRAM_CORE_SENSITIVITY_H
@@ -62,31 +65,6 @@ std::vector<SweepParam> sweepParameters(SweepMode mode);
  * the validation error when the description is invalid.
  */
 Result<double> paretoPatternPower(const DramDescription& desc);
-
-/** Sensitivity analyzer over a base description. */
-class SensitivityAnalyzer {
-  public:
-    explicit SensitivityAnalyzer(DramDescription base);
-
-    /**
-     * Sweep all parameters of the mode by +/- variation and return the
-     * results sorted by descending spread.
-     */
-    std::vector<SensitivityResult>
-    analyze(double variation = 0.20, SweepMode mode = SweepMode::Grouped)
-        const;
-
-    /** Power of the base description's pareto pattern (watts); 0 when
-     *  the base description is invalid (analyze() then returns no
-     *  results). */
-    double basePower() const { return basePower_; }
-
-  private:
-    Result<double> patternPowerOf(const DramDescription& desc) const;
-
-    DramDescription base_;
-    double basePower_ = 0;
-};
 
 } // namespace vdram
 

@@ -5,10 +5,6 @@
 
 namespace vdram {
 
-// computeTrends() lives in src/runner/campaign.cc: it is a thin wrapper
-// around runTrendsCampaign() so every ladder evaluation routes through
-// the batch runner (fault isolation, checkpointing, parallelism).
-
 TrendSummary
 summarizeTrends(const std::vector<TrendPoint>& points)
 {

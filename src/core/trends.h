@@ -5,13 +5,14 @@
  * per bit of the IDD7-style workload, plus the per-generation improvement
  * factors the paper reports (x1.5 per generation 2000-2010, x1.2
  * thereafter).
+ *
+ * The trend points come from runTrendsCampaign() in runner/campaign.h.
  */
 #ifndef VDRAM_CORE_TRENDS_H
 #define VDRAM_CORE_TRENDS_H
 
 #include <vector>
 
-#include "core/builder.h"
 #include "tech/generations.h"
 
 namespace vdram {
@@ -41,13 +42,6 @@ struct TrendSummary {
     /** Same for the forecast range (44 nm .. 16 nm). */
     double forecastFactorPerGen = 0;
 };
-
-/**
- * Compute the trend point of every ladder generation. Implemented in
- * src/runner/campaign.cc as a serial runTrendsCampaign() run, so each
- * generation is evaluated with batch-runner fault isolation.
- */
-std::vector<TrendPoint> computeTrends(const BuilderOptions& options = {});
 
 /** Summarize the energy-per-bit improvement factors. */
 TrendSummary summarizeTrends(const std::vector<TrendPoint>& points);

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
-#include <memory>
 
 #include "core/model.h"
 #include "core/variant_evaluator.h"
@@ -22,31 +21,6 @@ namespace vdram {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-/** One lazily constructed VariantEvaluator per worker slot (the
- *  campaign.cc pattern), so parallel generations delta-evaluate without
- *  locking. */
-class FitEvaluators {
-  public:
-    FitEvaluators(const DramPowerModel& nominal, int jobs)
-        : nominal_(nominal),
-          slots_(static_cast<size_t>(std::max(1, jobs)))
-    {
-    }
-
-    VariantEvaluator& forWorker(int worker)
-    {
-        std::unique_ptr<VariantEvaluator>& slot =
-            slots_[static_cast<size_t>(worker) % slots_.size()];
-        if (!slot)
-            slot = std::make_unique<VariantEvaluator>(nominal_);
-        return *slot;
-    }
-
-  private:
-    const DramPowerModel& nominal_;
-    std::vector<std::unique_ptr<VariantEvaluator>> slots_;
-};
 
 double
 clampFactor(double factor, const FitBounds& bounds)
@@ -94,9 +68,25 @@ applyFactors(const FitSetup& setup, DramDescription& desc,
         setup.params[p]->apply(desc, factors[p]);
 }
 
+/** {objective, currents...} of one candidate, with @p iddOf giving
+ *  each target's current. Both evaluation paths go through here. */
+template <typename IddOf>
+std::vector<double>
+candidateValues(const FitSetup& setup, IddOf&& iddOf)
+{
+    std::vector<double> currents;
+    currents.reserve(setup.spec->targets.size());
+    for (const FitTarget& target : setup.spec->targets)
+        currents.push_back(iddOf(target.measure));
+    std::vector<double> out;
+    out.push_back(objectiveOf(setup.spec->targets, currents));
+    out.insert(out.end(), currents.begin(), currents.end());
+    return out;
+}
+
 /** Full-rebuild evaluation of one candidate: description copy,
  *  validation, from-scratch model (the VDRAM_FASTPATH=off and verify
- *  reference). Returns {objective, currents...}. */
+ *  reference). */
 Result<std::vector<double>>
 evaluateSlow(const FitSetup& setup, const std::vector<double>& factors)
 {
@@ -105,14 +95,9 @@ evaluateSlow(const FitSetup& setup, const std::vector<double>& factors)
     Result<DramPowerModel> model = DramPowerModel::create(std::move(desc));
     if (!model.ok())
         return model.error();
-    std::vector<double> currents;
-    currents.reserve(setup.spec->targets.size());
-    for (const FitTarget& target : setup.spec->targets)
-        currents.push_back(model.value().idd(target.measure));
-    std::vector<double> out;
-    out.push_back(objectiveOf(setup.spec->targets, currents));
-    out.insert(out.end(), currents.begin(), currents.end());
-    return out;
+    return candidateValues(setup, [&](IddMeasure measure) {
+        return model.value().idd(measure);
+    });
 }
 
 /** Delta evaluation of one candidate through a worker's
@@ -126,26 +111,9 @@ evaluateFast(const FitSetup& setup, VariantEvaluator& evaluator,
         setup.dirty);
     if (!status.ok())
         return status.error();
-    std::vector<double> currents;
-    currents.reserve(setup.spec->targets.size());
-    for (const FitTarget& target : setup.spec->targets)
-        currents.push_back(evaluator.idd(target.measure));
-    std::vector<double> out;
-    out.push_back(objectiveOf(setup.spec->targets, currents));
-    out.insert(out.end(), currents.begin(), currents.end());
-    return out;
-}
-
-bool
-resultsIdentical(const Result<std::vector<double>>& a,
-                 const Result<std::vector<double>>& b)
-{
-    if (a.ok() != b.ok())
-        return false;
-    if (!a.ok())
-        return a.error().code == b.error().code;
-    return encodeDoublePayload(a.value()) ==
-           encodeDoublePayload(b.value());
+    return candidateValues(setup, [&](IddMeasure measure) {
+        return evaluator.idd(measure);
+    });
 }
 
 /** The search state of one start. */
@@ -200,7 +168,7 @@ generationCandidates(const FitSetup& setup, const SearchPoint& point)
  *  runner campaign (failed/quarantined candidates score +infinity). */
 Result<std::vector<double>>
 runGeneration(const FitSetup& setup, const FitOptions& fit,
-              const RunnerOptions& userOptions, FitEvaluators& evaluators,
+              const RunnerOptions& userOptions, WorkerEvaluators& evaluators,
               FastPathMode fastPath, int start, int generation,
               const std::vector<std::vector<double>>& candidates,
               RunReport& accounting, bool& interrupted,
@@ -232,23 +200,16 @@ runGeneration(const FitSetup& setup, const FitOptions& fit,
         [&](const TaskContext& context) -> Result<std::string> {
             const std::vector<double>& factors =
                 candidates[static_cast<size_t>(context.index)];
-            Result<std::vector<double>> values =
-                fastPath == FastPathMode::Off
-                    ? evaluateSlow(setup, factors)
-                    : evaluateFast(setup,
-                                   evaluators.forWorker(context.worker),
-                                   factors);
-            if (fastPath == FastPathMode::Verify &&
-                !resultsIdentical(values, evaluateSlow(setup, factors))) {
-                return Error{strformat("fast-path result of candidate "
-                                       "%lld differs from the "
-                                       "full-rebuild result",
-                                       context.index),
-                             0, 0, "", "E-FASTPATH-MISMATCH"};
-            }
-            if (!values.ok())
-                return values.error();
-            return encodeDoublePayload(values.value());
+            return evaluateFastOrSlow(
+                fastPath, context.index,
+                [&] {
+                    return encodeDoublePayload(evaluateFast(
+                        setup, evaluators.forWorker(context.worker),
+                        factors));
+                },
+                [&] {
+                    return encodeDoublePayload(evaluateSlow(setup, factors));
+                });
         },
         options);
 
@@ -442,8 +403,7 @@ runFitCampaign(const DramDescription& nominal, const FitTargetSpec& spec,
     };
 
     const FastPathMode fastPath = fastPathMode();
-    FitEvaluators evaluators(nominalModel.value(),
-                             effectiveJobCount(runnerOptions.jobs));
+    WorkerEvaluators evaluators(nominalModel.value(), runnerOptions.jobs);
     globalMetrics().counter("fit.runs").add(1);
 
     FitResult result;

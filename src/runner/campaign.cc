@@ -3,12 +3,9 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 
 #include "core/model.h"
-#include "core/variant_evaluator.h"
 #include "tech/generations.h"
-#include "util/logging.h"
 #include "util/numerics.h"
 #include "util/strings.h"
 
@@ -27,60 +24,6 @@ fastPathMode()
     return FastPathMode::On;
 }
 
-namespace {
-
-/**
- * One lazily constructed VariantEvaluator per worker slot, so parallel
- * campaigns delta-evaluate without locking. The vector is pre-sized to
- * the worker count; each worker only ever touches its own slot.
- */
-class WorkerEvaluators {
-  public:
-    WorkerEvaluators(const DramPowerModel& nominal, int jobs)
-        : nominal_(nominal),
-          slots_(static_cast<size_t>(std::max(1, jobs)))
-    {
-    }
-
-    VariantEvaluator& forWorker(int worker)
-    {
-        std::unique_ptr<VariantEvaluator>& slot =
-            slots_[static_cast<size_t>(worker) % slots_.size()];
-        if (!slot)
-            slot = std::make_unique<VariantEvaluator>(nominal_);
-        return *slot;
-    }
-
-  private:
-    const DramPowerModel& nominal_;
-    std::vector<std::unique_ptr<VariantEvaluator>> slots_;
-};
-
-/** Bit-exact comparison of two sample results via the %.17g payload
- *  encoding; error results compare by diagnostic code. */
-bool
-sampleResultsIdentical(const Result<std::vector<double>>& a,
-                       const Result<std::vector<double>>& b)
-{
-    if (a.ok() != b.ok())
-        return false;
-    if (!a.ok())
-        return a.error().code == b.error().code;
-    return encodeDoublePayload(a.value()) ==
-           encodeDoublePayload(b.value());
-}
-
-Error
-fastPathMismatch(long long index)
-{
-    return Error{strformat("fast-path result of task %lld differs from "
-                           "the full-rebuild result",
-                           index),
-                 0, 0, "", "E-FASTPATH-MISMATCH"};
-}
-
-} // namespace
-
 std::string
 encodeDoublePayload(const std::vector<double>& values)
 {
@@ -89,6 +32,14 @@ encodeDoublePayload(const std::vector<double>& values)
     for (double v : values)
         parts.push_back(strformat("%.17g", v));
     return join(parts, " ");
+}
+
+Result<std::string>
+encodeDoublePayload(const Result<std::vector<double>>& values)
+{
+    if (!values.ok())
+        return values.error();
+    return encodeDoublePayload(values.value());
 }
 
 Result<std::vector<double>>
@@ -106,6 +57,25 @@ decodeDoublePayload(const std::string& text)
     }
     return values;
 }
+
+namespace {
+
+/** The @p width doubles of an ok task's payload; E-CKPT-PAYLOAD when a
+ *  (resumed) record does not decode to that many. */
+Result<std::vector<double>>
+decodeTaskPayload(const TaskResult& task, size_t width,
+                  const std::string& checkpointPath)
+{
+    Result<std::vector<double>> decoded = decodeDoublePayload(task.payload);
+    if (!decoded.ok() || decoded.value().size() != width) {
+        return Error{strformat("task %lld has a corrupt checkpoint payload",
+                               task.index),
+                     0, 0, checkpointPath, "E-CKPT-PAYLOAD"};
+    }
+    return decoded;
+}
+
+} // namespace
 
 Result<MonteCarloCampaign>
 runMonteCarloCampaign(const DramDescription& nominal,
@@ -134,28 +104,21 @@ runMonteCarloCampaign(const DramDescription& nominal,
     }
 
     const FastPathMode fast_path = fastPathMode();
-    WorkerEvaluators evaluators(nominal_model.value(),
-                                effectiveJobCount(options.jobs));
+    WorkerEvaluators evaluators(nominal_model.value(), options.jobs);
     BatchRunner runner(
         std::move(manifest),
         [&](const TaskContext& context) -> Result<std::string> {
-            Result<std::vector<double>> values =
-                fast_path == FastPathMode::Off
-                    ? evaluateMonteCarloSample(nominal, variation,
-                                               measures, context.seed)
-                    : evaluateMonteCarloSampleFast(
-                          evaluators.forWorker(context.worker), variation,
-                          measures, context.seed);
-            if (fast_path == FastPathMode::Verify) {
-                Result<std::vector<double>> slow =
-                    evaluateMonteCarloSample(nominal, variation, measures,
-                                             context.seed);
-                if (!sampleResultsIdentical(values, slow))
-                    return fastPathMismatch(context.index);
-            }
-            if (!values.ok())
-                return values.error();
-            return encodeDoublePayload(values.value());
+            return evaluateFastOrSlow(
+                fast_path, context.index,
+                [&] {
+                    return encodeDoublePayload(evaluateMonteCarloSampleFast(
+                        evaluators.forWorker(context.worker), variation,
+                        measures, context.seed));
+                },
+                [&] {
+                    return encodeDoublePayload(evaluateMonteCarloSample(
+                        nominal, variation, measures, context.seed));
+                });
         },
         options);
 
@@ -168,13 +131,9 @@ runMonteCarloCampaign(const DramDescription& nominal,
         if (!task.ok())
             continue;
         Result<std::vector<double>> decoded =
-            decodeDoublePayload(task.payload);
-        if (!decoded.ok() || decoded.value().size() != measures.size()) {
-            return Error{strformat("task %lld has a corrupt checkpoint "
-                                   "payload",
-                                   task.index),
-                         0, 0, options.checkpointPath, "E-CKPT-PAYLOAD"};
-        }
+            decodeTaskPayload(task, measures.size(), options.checkpointPath);
+        if (!decoded.ok())
+            return decoded.error();
         for (size_t m = 0; m < measures.size(); ++m)
             values[m].push_back(decoded.value()[m]);
     }
@@ -184,25 +143,6 @@ runMonteCarloCampaign(const DramDescription& nominal,
     campaign.distributions =
         summarizeIddDistributions(nominal_model.value(), measures, values);
     return campaign;
-}
-
-std::vector<IddDistribution>
-runMonteCarlo(const DramDescription& nominal,
-              const std::vector<IddMeasure>& measures, int samples,
-              const VariationModel& variation, std::uint64_t seed,
-              RunReport* report)
-{
-    RunnerOptions options; // serial, no checkpoint, no deadline
-    Result<MonteCarloCampaign> campaign = runMonteCarloCampaign(
-        nominal, measures, samples, variation, seed, options);
-    if (!campaign.ok()) {
-        warn(campaign.error().toString() +
-             "; returning no distributions");
-        return {};
-    }
-    if (report)
-        *report = campaign.value().report;
-    return std::move(campaign.value().distributions);
 }
 
 Result<SensitivityCampaign>
@@ -231,61 +171,47 @@ runSensitivityCampaign(const DramDescription& base, double variation,
     }
 
     const FastPathMode fast_path = fastPathMode();
-    WorkerEvaluators evaluators(base_model.value(),
-                                effectiveJobCount(options.jobs));
+    WorkerEvaluators evaluators(base_model.value(), options.jobs);
     // Both paths evaluate + before -, so a perturbation that breaks the
     // description surfaces the same (first) error either way.
-    auto slowPair =
-        [&](const TaskContext& context) -> Result<std::vector<double>> {
-        const SweepParam& param = params[context.index];
-        DramDescription up = base;
-        param.apply(up, 1.0 + variation);
-        DramDescription down = base;
-        param.apply(down, 1.0 - variation);
-        Result<double> plus = paretoPatternPower(up);
-        if (!plus.ok())
-            return plus.error();
-        Result<double> minus = paretoPatternPower(down);
-        if (!minus.ok())
-            return minus.error();
-        return std::vector<double>{plus.value() / basePower - 1.0,
-                                   minus.value() / basePower - 1.0};
-    };
-    auto fastPair =
-        [&](const TaskContext& context) -> Result<std::vector<double>> {
-        const SweepParam& param = params[context.index];
-        VariantEvaluator& evaluator =
-            evaluators.forWorker(context.worker);
-        auto sideOf = [&](double factor) -> Result<double> {
-            Status status = evaluator.applyPerturbation(
-                [&](DramDescription& d) { param.apply(d, factor); },
-                param.dirty);
-            if (!status.ok())
-                return status.error();
-            return evaluator.paretoPower();
-        };
+    auto pairOf = [&](auto sideOf) -> Result<std::string> {
         Result<double> plus = sideOf(1.0 + variation);
         if (!plus.ok())
             return plus.error();
         Result<double> minus = sideOf(1.0 - variation);
         if (!minus.ok())
             return minus.error();
-        return std::vector<double>{plus.value() / basePower - 1.0,
-                                   minus.value() / basePower - 1.0};
+        return encodeDoublePayload(std::vector<double>{
+            plus.value() / basePower - 1.0,
+                                    minus.value() / basePower - 1.0});
     };
     BatchRunner runner(
         std::move(manifest),
         [&](const TaskContext& context) -> Result<std::string> {
-            Result<std::vector<double>> pair =
-                fast_path == FastPathMode::Off ? slowPair(context)
-                                               : fastPair(context);
-            if (fast_path == FastPathMode::Verify &&
-                !sampleResultsIdentical(pair, slowPair(context))) {
-                return fastPathMismatch(context.index);
-            }
-            if (!pair.ok())
-                return pair.error();
-            return encodeDoublePayload(pair.value());
+            const SweepParam& param = params[context.index];
+            return evaluateFastOrSlow(
+                fast_path, context.index,
+                [&] {
+                    VariantEvaluator& evaluator =
+                        evaluators.forWorker(context.worker);
+                    return pairOf([&](double factor) -> Result<double> {
+                        Status status = evaluator.applyPerturbation(
+                            [&](DramDescription& d) {
+                                param.apply(d, factor);
+                            },
+                            param.dirty);
+                        if (!status.ok())
+                            return status.error();
+                        return evaluator.paretoPower();
+                    });
+                },
+                [&] {
+                    return pairOf([&](double factor) {
+                        DramDescription variant = base;
+                        param.apply(variant, factor);
+                        return paretoPatternPower(variant);
+                    });
+                });
         },
         options);
 
@@ -299,13 +225,9 @@ runSensitivityCampaign(const DramDescription& base, double variation,
         if (!task.ok())
             continue;
         Result<std::vector<double>> decoded =
-            decodeDoublePayload(task.payload);
-        if (!decoded.ok() || decoded.value().size() != 2) {
-            return Error{strformat("task %lld has a corrupt checkpoint "
-                                   "payload",
-                                   task.index),
-                         0, 0, options.checkpointPath, "E-CKPT-PAYLOAD"};
-        }
+            decodeTaskPayload(task, 2, options.checkpointPath);
+        if (!decoded.ok())
+            return decoded.error();
         SensitivityResult r;
         r.name = task.spec.name;
         r.plus = decoded.value()[0];
@@ -367,13 +289,9 @@ runTrendsCampaign(const BuilderOptions& builderOptions,
         if (!task.ok())
             continue;
         Result<std::vector<double>> decoded =
-            decodeDoublePayload(task.payload);
-        if (!decoded.ok() || decoded.value().size() != 5) {
-            return Error{strformat("task %lld has a corrupt checkpoint "
-                                   "payload",
-                                   task.index),
-                         0, 0, options.checkpointPath, "E-CKPT-PAYLOAD"};
-        }
+            decodeTaskPayload(task, 5, options.checkpointPath);
+        if (!decoded.ok())
+            return decoded.error();
         const GenerationInfo& gen = ladder[task.index];
         TrendPoint p;
         p.generation = gen;
@@ -391,19 +309,6 @@ runTrendsCampaign(const BuilderOptions& builderOptions,
         campaign.points.push_back(std::move(p));
     }
     return campaign;
-}
-
-std::vector<TrendPoint>
-computeTrends(const BuilderOptions& options)
-{
-    RunnerOptions runner; // serial, no checkpoint, no deadline
-    Result<TrendsCampaign> campaign =
-        runTrendsCampaign(options, runner);
-    if (!campaign.ok()) {
-        warn(campaign.error().toString() + "; returning no trend points");
-        return {};
-    }
-    return std::move(campaign.value().points);
 }
 
 } // namespace vdram

@@ -15,6 +15,7 @@
 #define VDRAM_RUNNER_CAMPAIGN_H
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -22,6 +23,7 @@
 #include "core/montecarlo.h"
 #include "core/sensitivity.h"
 #include "core/trends.h"
+#include "core/variant_evaluator.h"
 #include "runner/runner.h"
 
 namespace vdram {
@@ -38,6 +40,67 @@ enum class FastPathMode { On, Off, Verify };
 
 /** The mode selected by the VDRAM_FASTPATH environment variable. */
 FastPathMode fastPathMode();
+
+/**
+ * One lazily constructed VariantEvaluator per worker slot, so parallel
+ * campaigns delta-evaluate without locking. The slots are pre-sized to
+ * the worker count; each worker only ever touches its own slot.
+ */
+class WorkerEvaluators {
+  public:
+    /** One slot per worker of RunnerOptions::jobs = @p jobs; @p nominal
+     *  must outlive this object. */
+    WorkerEvaluators(const DramPowerModel& nominal, int jobs)
+        : nominal_(nominal),
+          slots_(static_cast<size_t>(effectiveJobCount(jobs)))
+    {
+    }
+
+    VariantEvaluator& forWorker(int worker)
+    {
+        std::unique_ptr<VariantEvaluator>& slot =
+            slots_[static_cast<size_t>(worker) % slots_.size()];
+        if (!slot)
+            slot = std::make_unique<VariantEvaluator>(nominal_);
+        return *slot;
+    }
+
+  private:
+    const DramPowerModel& nominal_;
+    std::vector<std::unique_ptr<VariantEvaluator>> slots_;
+};
+
+/**
+ * Evaluate task @p index on the path @p mode selects. @p fast (the
+ * delta evaluation) and @p slow (its full-rebuild twin) are callables
+ * returning the task's Result<std::string> payload. Under Verify both
+ * run, and the task fails with E-FASTPATH-MISMATCH unless the payloads
+ * are byte-identical or both failed with the same diagnostic code (the
+ * error then passes through).
+ */
+template <typename Fast, typename Slow>
+Result<std::string>
+evaluateFastOrSlow(FastPathMode mode, long long index, Fast&& fast,
+                   Slow&& slow)
+{
+    if (mode == FastPathMode::Off)
+        return slow();
+    Result<std::string> result = fast();
+    if (mode == FastPathMode::Verify) {
+        const Result<std::string> reference = slow();
+        const bool same =
+            result.ok() == reference.ok() &&
+            (result.ok() ? result.value() == reference.value()
+                         : result.error().code == reference.error().code);
+        if (!same) {
+            return Error{"fast-path result of task " +
+                             std::to_string(index) +
+                             " differs from the full-rebuild result",
+                         0, 0, "", "E-FASTPATH-MISMATCH"};
+        }
+    }
+    return result;
+}
 
 /** Monte-Carlo study result plus the run's accounting. */
 struct MonteCarloCampaign {
@@ -61,7 +124,11 @@ runMonteCarloCampaign(const DramDescription& nominal,
 
 /** Sensitivity study result plus the run's accounting. */
 struct SensitivityCampaign {
-    /** Sorted by descending spread (the paper's Pareto order). */
+    /**
+     * Sorted by descending spread (the paper's Pareto order). The sort
+     * is stable: parameters with equal spread keep their
+     * sweepParameters() order, whatever the job count.
+     */
     std::vector<SensitivityResult> results;
     RunReport report;
 };
@@ -93,6 +160,10 @@ runTrendsCampaign(const BuilderOptions& builderOptions,
  * payload that round-trips bit-exactly through the checkpoint.
  */
 std::string encodeDoublePayload(const std::vector<double>& values);
+
+/** encodeDoublePayload() of an ok result; an error passes through. */
+Result<std::string>
+encodeDoublePayload(const Result<std::vector<double>>& values);
 
 /** Inverse of encodeDoublePayload(). */
 Result<std::vector<double>> decodeDoublePayload(const std::string& text);

@@ -851,39 +851,53 @@ serveSendLines(const std::string& socketPath, int port,
     std::string out = input;
     if (!out.empty() && out.back() != '\n')
         out += '\n';
-    size_t sent = 0;
-    while (sent < out.size()) {
-        ssize_t n = ::send(fd, out.data() + sent, out.size() - sent,
-                           MSG_NOSIGNAL);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            Error error{std::string("request write failed: ") +
-                            std::strerror(errno),
-                        0, 0, "", "E-SERVE-SOCKET"};
-            ::close(fd);
-            return error;
-        }
-        sent += static_cast<size_t>(n);
-    }
-    ::shutdown(fd, SHUT_WR);
+    auto fail = [fd](const char* what) -> Error {
+        Error error{std::string(what) + std::strerror(errno), 0, 0, "",
+                    "E-SERVE-SOCKET"};
+        ::close(fd);
+        return error;
+    };
 
+    // Writes interleave with reads: the daemon answers while the batch
+    // is still arriving, so writing all of a large batch first would
+    // fill both socket buffers and deadlock client and daemon.
+    size_t sent = 0;
+    if (out.empty())
+        ::shutdown(fd, SHUT_WR);
     std::string responses;
     char chunk[4096];
     for (;;) {
-        ssize_t got = ::recv(fd, chunk, sizeof chunk, 0);
-        if (got < 0) {
+        pollfd pfd{fd, POLLIN, 0};
+        if (sent < out.size())
+            pfd.events |= POLLOUT;
+        if (::poll(&pfd, 1, -1) < 0) {
             if (errno == EINTR)
                 continue;
-            Error error{std::string("response read failed: ") +
-                            std::strerror(errno),
-                        0, 0, "", "E-SERVE-SOCKET"};
-            ::close(fd);
-            return error;
+            return fail("socket poll failed: ");
         }
-        if (got == 0)
-            break;
-        responses.append(chunk, static_cast<size_t>(got));
+        if (pfd.revents & (POLLIN | POLLHUP | POLLERR)) {
+            ssize_t got = ::recv(fd, chunk, sizeof chunk, MSG_DONTWAIT);
+            if (got == 0)
+                break;
+            if (got > 0) {
+                responses.append(chunk, static_cast<size_t>(got));
+            } else if (errno != EINTR && errno != EAGAIN &&
+                       errno != EWOULDBLOCK) {
+                return fail("response read failed: ");
+            }
+        }
+        if ((pfd.revents & POLLOUT) && sent < out.size()) {
+            ssize_t n = ::send(fd, out.data() + sent, out.size() - sent,
+                               MSG_NOSIGNAL | MSG_DONTWAIT);
+            if (n >= 0) {
+                sent += static_cast<size_t>(n);
+                if (sent == out.size())
+                    ::shutdown(fd, SHUT_WR);
+            } else if (errno != EINTR && errno != EAGAIN &&
+                       errno != EWOULDBLOCK) {
+                return fail("request write failed: ");
+            }
+        }
     }
     ::close(fd);
     return responses;

@@ -92,8 +92,8 @@ Result<ServeStats> runServeServer(const ServeOptions& options);
 /**
  * Minimal client used by `vdram serve-send` and the tests: connect,
  * send @p input (newline-delimited requests; a missing trailing newline
- * is added), half-close, read every response until EOF. Returns the
- * raw response bytes.
+ * is added) while reading responses, half-close after the last byte,
+ * read every response until EOF. Returns the raw response bytes.
  */
 Result<std::string> serveSendLines(const std::string& socketPath,
                                    int port, const std::string& input);

@@ -92,8 +92,9 @@ TEST(GoldenFigures, MatchesGoldenFilesBitIdentically)
 TEST(GoldenFigures, RecomputationIsDeterministic)
 {
     // Two in-process computations must agree byte for byte; this is the
-    // same identity the golden files pin across processes and under
-    // VDRAM_FASTPATH=off (exercised by the CI matrix).
+    // same identity the golden files pin across processes, and that
+    // tools/ci.sh checks against the full rebuild by rerunning the suite
+    // under VDRAM_FASTPATH=verify.
     std::vector<GoldenFigure> first = computeGoldenFigures();
     std::vector<GoldenFigure> second = computeGoldenFigures();
     ASSERT_EQ(first.size(), second.size());

@@ -5,9 +5,8 @@
  */
 #include <gtest/gtest.h>
 
-#include "core/montecarlo.h"
-#include "util/logging.h"
 #include "presets/presets.h"
+#include "runner/campaign.h"
 
 namespace vdram {
 namespace {
@@ -16,6 +15,15 @@ DramDescription
 nominal()
 {
     return preset1GbDdr3(55e-9, 16, 1333);
+}
+
+/** A serial seed-1 campaign over the nominal part. */
+Result<MonteCarloCampaign>
+campaign(const std::vector<IddMeasure>& measures, int samples,
+         const VariationModel& variation = {})
+{
+    return runMonteCarloCampaign(nominal(), measures, samples, variation,
+                                 1, RunnerOptions{});
 }
 
 TEST(MonteCarloTest, DeterministicPerSeed)
@@ -54,7 +62,9 @@ TEST(MonteCarloTest, CountsAndRatiosUntouched)
 
 TEST(MonteCarloTest, DistributionBracketsNominal)
 {
-    auto dists = runMonteCarlo(nominal(), {IddMeasure::Idd0}, 40);
+    Result<MonteCarloCampaign> run = campaign({IddMeasure::Idd0}, 40);
+    ASSERT_TRUE(run.ok());
+    const std::vector<IddDistribution>& dists = run.value().distributions;
     ASSERT_EQ(dists.size(), 1u);
     const IddDistribution& d = dists.front();
     EXPECT_LT(d.minimum, d.nominal);
@@ -78,29 +88,26 @@ TEST(MonteCarloTest, WiderVariationWiderBand)
     wide.technologySigma = 0.15;
     wide.logicSigma = 0.30;
 
-    auto d_narrow =
-        runMonteCarlo(nominal(), {IddMeasure::Idd4R}, 40, narrow);
-    auto d_wide = runMonteCarlo(nominal(), {IddMeasure::Idd4R}, 40, wide);
-    EXPECT_GT(d_wide.front().relativeSpread(),
-              2.0 * d_narrow.front().relativeSpread());
+    Result<MonteCarloCampaign> d_narrow =
+        campaign({IddMeasure::Idd4R}, 40, narrow);
+    Result<MonteCarloCampaign> d_wide =
+        campaign({IddMeasure::Idd4R}, 40, wide);
+    ASSERT_TRUE(d_narrow.ok());
+    ASSERT_TRUE(d_wide.ok());
+    EXPECT_GT(d_wide.value().distributions.front().relativeSpread(),
+              2.0 * d_narrow.value().distributions.front().relativeSpread());
 }
 
 TEST(MonteCarloTest, MultipleMeasuresInOneRun)
 {
-    auto dists = runMonteCarlo(
-        nominal(), {IddMeasure::Idd0, IddMeasure::Idd4R}, 20);
+    Result<MonteCarloCampaign> run =
+        campaign({IddMeasure::Idd0, IddMeasure::Idd4R}, 20);
+    ASSERT_TRUE(run.ok());
+    const std::vector<IddDistribution>& dists = run.value().distributions;
     ASSERT_EQ(dists.size(), 2u);
     EXPECT_EQ(dists[0].measure, IddMeasure::Idd0);
     EXPECT_EQ(dists[1].measure, IddMeasure::Idd4R);
     EXPECT_GT(dists[1].mean, dists[0].mean);
-}
-
-TEST(MonteCarloTest, ZeroSamplesYieldNoDistributions)
-{
-    setQuiet(true);
-    auto dists = runMonteCarlo(nominal(), {IddMeasure::Idd0}, 0);
-    setQuiet(false);
-    EXPECT_TRUE(dists.empty());
 }
 
 } // namespace

@@ -659,6 +659,87 @@ TEST(CampaignTest, MonteCarloRejectsBadSampleCount)
     EXPECT_EQ(r.error().code, "E-MC-SAMPLES");
 }
 
+// ---------------------------------------------------------------------
+// The fast-path contract shared by every campaign (evaluateFastOrSlow)
+// ---------------------------------------------------------------------
+
+Result<std::string>
+payload(const char* text)
+{
+    return std::string(text);
+}
+
+Result<std::string>
+failure(const char* code)
+{
+    return Error{std::string("failed with ") + code, 0, 0, "", code};
+}
+
+TEST(FastPathContractTest, ModeSelectsThePath)
+{
+    int fast_calls = 0, slow_calls = 0;
+    auto fast = [&] {
+        ++fast_calls;
+        return payload("fast");
+    };
+    auto slow = [&] {
+        ++slow_calls;
+        return payload("slow");
+    };
+    EXPECT_EQ(evaluateFastOrSlow(FastPathMode::On, 0, fast, slow).value(),
+              "fast");
+    EXPECT_EQ(evaluateFastOrSlow(FastPathMode::Off, 0, fast, slow).value(),
+              "slow");
+    EXPECT_EQ(fast_calls, 1);
+    EXPECT_EQ(slow_calls, 1);
+}
+
+TEST(FastPathContractTest, VerifyPassesIdenticalResultsThrough)
+{
+    auto same = [] { return payload("1 2 3"); };
+    Result<std::string> r =
+        evaluateFastOrSlow(FastPathMode::Verify, 4, same, same);
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(r.value(), "1 2 3");
+}
+
+TEST(FastPathContractTest, VerifyFlagsDifferentPayloadsWithTaskIndex)
+{
+    Result<std::string> r = evaluateFastOrSlow(
+        FastPathMode::Verify, 17,
+        [] { return payload("0.30000000000000004"); },
+        [] { return payload("0.29999999999999999"); });
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.error().code, "E-FASTPATH-MISMATCH");
+    EXPECT_NE(r.error().message.find("task 17 "), std::string::npos)
+        << r.error().message;
+}
+
+TEST(FastPathContractTest, VerifyPassesSameErrorCodeThrough)
+{
+    Result<std::string> r = evaluateFastOrSlow(
+        FastPathMode::Verify, 2, [] { return failure("E-TECH-RANGE"); },
+        [] { return failure("E-TECH-RANGE"); });
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.error().code, "E-TECH-RANGE");
+}
+
+TEST(FastPathContractTest, VerifyFlagsDifferentOutcomes)
+{
+    Result<std::string> codes = evaluateFastOrSlow(
+        FastPathMode::Verify, 5, [] { return failure("E-TECH-RANGE"); },
+        [] { return failure("E-ARCH-RANGE"); });
+    ASSERT_FALSE(codes.ok());
+    EXPECT_EQ(codes.error().code, "E-FASTPATH-MISMATCH");
+
+    Result<std::string> ok_vs_error = evaluateFastOrSlow(
+        FastPathMode::Verify, 6,
+        [] { return payload("1"); },
+        [] { return failure("E-TECH-RANGE"); });
+    ASSERT_FALSE(ok_vs_error.ok());
+    EXPECT_EQ(ok_vs_error.error().code, "E-FASTPATH-MISMATCH");
+}
+
 TEST(CampaignTest, FaultInjectedCampaignStillAggregates)
 {
     DramDescription nominal = preset1GbDdr3(55e-9, 16, 1333);

@@ -8,12 +8,30 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
+#include <sstream>
 
-#include "core/sensitivity.h"
 #include "presets/presets.h"
+#include "runner/campaign.h"
+#include "util/json.h"
 
 namespace vdram {
 namespace {
+
+/** The sensitivity Pareto of @p base (serial campaign); a failed
+ *  campaign fails the calling test and yields no results. */
+std::vector<SensitivityResult>
+sweep(const DramDescription& base, double variation = 0.20,
+      SweepMode mode = SweepMode::Grouped)
+{
+    Result<SensitivityCampaign> campaign =
+        runSensitivityCampaign(base, variation, mode, RunnerOptions{});
+    if (!campaign.ok()) {
+        ADD_FAILURE() << campaign.error().toString();
+        return {};
+    }
+    return std::move(campaign).value().results;
+}
 
 int
 rankOf(const std::vector<SensitivityResult>& results,
@@ -40,23 +58,18 @@ class SensitivityDdr3Test : public ::testing::Test {
   protected:
     static void SetUpTestSuite()
     {
-        analyzer_ = new SensitivityAnalyzer(preset2GbDdr3_55());
         results_ = new std::vector<SensitivityResult>(
-            analyzer_->analyze(0.20));
+            sweep(preset2GbDdr3_55()));
     }
     static void TearDownTestSuite()
     {
-        delete analyzer_;
         delete results_;
-        analyzer_ = nullptr;
         results_ = nullptr;
     }
 
-    static SensitivityAnalyzer* analyzer_;
     static std::vector<SensitivityResult>* results_;
 };
 
-SensitivityAnalyzer* SensitivityDdr3Test::analyzer_ = nullptr;
 std::vector<SensitivityResult>* SensitivityDdr3Test::results_ = nullptr;
 
 TEST_F(SensitivityDdr3Test, PowerDirectlyProportionalToVdd)
@@ -136,7 +149,7 @@ TEST_F(SensitivityDdr3Test, MostParametersHaveSmallIndividualImpact)
     // "Most parameters have little individual influence; only their
     // overall contribution is determining power consumption." — true of
     // the ungrouped (detailed) parameter census.
-    auto detailed = analyzer_->analyze(0.20, SweepMode::Detailed);
+    auto detailed = sweep(preset2GbDdr3_55(), 0.20, SweepMode::Detailed);
     int small = 0;
     for (const SensitivityResult& r : detailed) {
         if (r.spread() < 0.05)
@@ -151,14 +164,12 @@ TEST(SensitivityShiftTest, ArrayToLogicShiftAcrossGenerations)
     // consumption to signal wiring and logic circuitry power
     // consumption". In the 170 nm SDR device the bitline terms beat the
     // logic terms; by the 18 nm DDR5 device the order flips.
-    SensitivityAnalyzer sdr(preset128MbSdr170());
-    auto sdr_results = sdr.analyze(0.20);
+    auto sdr_results = sweep(preset128MbSdr170());
     int sdr_bitline = rankOf(sdr_results, "Bitline voltage");
     int sdr_gates = rankOf(sdr_results, "Number of logic gates");
     EXPECT_LT(sdr_bitline, sdr_gates);
 
-    SensitivityAnalyzer ddr5(preset16GbDdr5_18());
-    auto ddr5_results = ddr5.analyze(0.20);
+    auto ddr5_results = sweep(preset16GbDdr5_18());
     int ddr5_bitline = rankOf(ddr5_results, "Bitline voltage");
     int ddr5_wire = rankOf(ddr5_results, "Specific wire capacitance");
     int ddr5_gates = rankOf(ddr5_results, "Number of logic gates");
@@ -177,12 +188,63 @@ TEST(SensitivitySweepTest, DetailedModeCoversRegistry)
 
 TEST(SensitivitySweepTest, ZeroVariationIsNeutral)
 {
-    SensitivityAnalyzer analyzer(preset1GbDdr3(55e-9, 16, 1333));
-    auto results = analyzer.analyze(0.0);
+    auto results = sweep(preset1GbDdr3(55e-9, 16, 1333), 0.0);
     for (const SensitivityResult& r : results) {
         EXPECT_NEAR(r.plus, 0.0, 1e-9) << r.name;
         EXPECT_NEAR(r.minus, 0.0, 1e-9) << r.name;
     }
+}
+
+std::vector<std::string>
+namesOf(const std::vector<SensitivityResult>& results)
+{
+    std::vector<std::string> names;
+    for (const SensitivityResult& r : results)
+        names.push_back(r.name);
+    return names;
+}
+
+// "Number of logic gates" and "Logic toggle rate" tie exactly on
+// ddr3_1g_55 (both scale the switched logic charge linearly). The
+// campaign's stable sort keeps tied parameters in sweepParameters()
+// order, so every consumer of the Pareto ranks them alike.
+TEST(SensitivityTieTest, JobCountDoesNotChangeTieOrder)
+{
+    const DramDescription base = preset1GbDdr3(55e-9, 16, 1333);
+    RunnerOptions parallel;
+    parallel.jobs = 3;
+    Result<SensitivityCampaign> serial =
+        runSensitivityCampaign(base, 0.20, SweepMode::Grouped, {});
+    Result<SensitivityCampaign> threaded =
+        runSensitivityCampaign(base, 0.20, SweepMode::Grouped, parallel);
+    ASSERT_TRUE(serial.ok());
+    ASSERT_TRUE(threaded.ok());
+    EXPECT_EQ(namesOf(serial.value().results),
+              namesOf(threaded.value().results));
+}
+
+TEST(SensitivityTieTest, CampaignOrderMatchesTableIIIGolden)
+{
+    std::ifstream in(std::string(VDRAM_GOLDEN_DIR) +
+                     "/tab3_sensitivity_ranking.json");
+    ASSERT_TRUE(in.good());
+    std::ostringstream text;
+    text << in.rdbuf();
+    Result<JsonValue> golden = parseJson(text.str());
+    ASSERT_TRUE(golden.ok());
+    const JsonValue* ranking = golden.value().member("ranking");
+    ASSERT_NE(ranking, nullptr);
+    std::vector<std::string> golden_names;
+    for (const JsonValue& entry : ranking->items)
+        golden_names.push_back(entry.memberString("name"));
+
+    std::vector<std::string> names =
+        namesOf(sweep(preset1GbDdr3(55e-9, 16, 1333)));
+    EXPECT_EQ(names, golden_names);
+    auto rank = [&names](const char* name) {
+        return std::find(names.begin(), names.end(), name) - names.begin();
+    };
+    EXPECT_LT(rank("Number of logic gates"), rank("Logic toggle rate"));
 }
 
 } // namespace

@@ -238,6 +238,34 @@ TEST(ServeDaemonTest, LoadEvaluatePerturbFlowAndCacheHit)
               stats.responsesWritten + stats.responsesFailed);
 }
 
+TEST(ServeDaemonTest, LargeBatchDoesNotDeadlockTheClient)
+{
+    // 1.4 MB of requests: far more than both socket buffers hold, so a
+    // client that wrote everything before reading would block against a
+    // daemon blocked writing replies.
+    DaemonFixture daemon(baseOptions("batch"));
+    ASSERT_TRUE(daemon.ready());
+    std::string batch =
+        "{\"id\":0,\"op\":\"load\",\"preset\":\"ddr3_2g_55\"}\n";
+    const int kPerturbs = 20000;
+    for (int i = 1; i <= kPerturbs; ++i) {
+        batch += strformat("{\"id\":%d,\"op\":\"perturb\",\"param\":"
+                           "\"Internal voltage Vint\",\"factor\":%s}\n",
+                           i, i % 2 ? "0.9" : "1.1");
+    }
+
+    Result<std::string> replies = daemon.send(batch);
+    ASSERT_TRUE(replies.ok()) << replies.error().toString();
+    std::vector<std::string> out = lines(replies.value());
+    ASSERT_EQ(out.size(), static_cast<size_t>(kPerturbs + 1));
+    EXPECT_NE(out.back().find("\"id\":20000"), std::string::npos);
+
+    ServeStats stats = daemon.stopAndJoin();
+    EXPECT_EQ(stats.requestsAccepted, kPerturbs + 1);
+    EXPECT_EQ(stats.requestsAccepted,
+              stats.responsesWritten + stats.responsesFailed);
+}
+
 TEST(ServeDaemonTest, MalformedAndInvalidRequestsAreQuarantined)
 {
     DaemonFixture daemon(baseOptions("quarantine"));

@@ -7,7 +7,7 @@
  */
 #include <gtest/gtest.h>
 
-#include "core/trends.h"
+#include "runner/campaign.h"
 
 namespace vdram {
 namespace {
@@ -16,18 +16,25 @@ class TrendTest : public ::testing::Test {
   protected:
     static void SetUpTestSuite()
     {
-        points_ = new std::vector<TrendPoint>(computeTrends());
+        campaign_ = new Result<TrendsCampaign>(
+            runTrendsCampaign({}, RunnerOptions{}));
     }
     static void TearDownTestSuite()
     {
-        delete points_;
-        points_ = nullptr;
+        delete campaign_;
+        campaign_ = nullptr;
+    }
+    void SetUp() override
+    {
+        ASSERT_TRUE(campaign_->ok()) << campaign_->error().toString();
+        points_ = &campaign_->value().points;
     }
 
-    static std::vector<TrendPoint>* points_;
+    static Result<TrendsCampaign>* campaign_;
+    const std::vector<TrendPoint>* points_ = nullptr;
 };
 
-std::vector<TrendPoint>* TrendTest::points_ = nullptr;
+Result<TrendsCampaign>* TrendTest::campaign_ = nullptr;
 
 TEST_F(TrendTest, CoversFullLadder)
 {

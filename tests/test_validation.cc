@@ -9,6 +9,7 @@
 #include <cmath>
 #include <functional>
 #include <limits>
+#include <ostream>
 
 #include "core/description.h"
 #include "core/model.h"
@@ -25,6 +26,14 @@ struct Corruption {
     std::function<void(DramDescription&)> apply;
     const char* expected_fragment;
 };
+
+// Print a case by its name. gtest's default dump of the raw bytes holds
+// the pointers in the struct, so the listed test names (which ctest takes
+// from --gtest_list_tests) would change with every build and every run.
+void PrintTo(const Corruption& corruption, std::ostream* os)
+{
+    *os << corruption.name;
+}
 
 class ValidationTest : public ::testing::TestWithParam<Corruption> {};
 

@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
-# Full CI sequence: normal build + complete test suite, then an
-# ASan+UBSan build of the robustness surface (parser, validator,
-# diagnostics, CLI lint), a ThreadSanitizer build of the batch-runner
-# and serve-daemon concurrency surface, failpoint chaos smokes (kill -9
-# mid-checkpoint + resume byte-identity; a serve daemon under injected
-# request crashes; a fleet that self-heals a wedged worker and a
-# kill -9), a fault-injection + resume smoke of the CLI, the
+# Full CI sequence: normal build + complete test suite (also under
+# VDRAM_FASTPATH=verify and VDRAM_SIMD=off), a -march=native build of
+# the golden and SIMD-identity suites, then an ASan+UBSan build of the
+# robustness surface (parser, validator, diagnostics, CLI lint), a
+# ThreadSanitizer build of the batch-runner and serve-daemon concurrency
+# surface, failpoint chaos smokes (kill -9 mid-checkpoint + resume
+# byte-identity; a serve daemon under injected request crashes; a fleet
+# that self-heals a wedged worker and a kill -9), a fault-injection + resume smoke of the CLI, the
 # runner throughput benchmark (BENCH_runner.json), the model fast-path
 # throughput gate (BENCH_model.json vs the recorded baseline), a fit
 # calibration smoke (converge on the committed vendor targets + resume
@@ -22,11 +23,26 @@ cmake -B build -S .
 cmake --build build -j "$jobs"
 ctest --test-dir build --output-on-failure -j "$jobs"
 
+echo "== full test suite (VDRAM_FASTPATH=verify, fast path vs rebuild) =="
+# Every campaign task runs the delta-evaluation fast path and its
+# full-rebuild twin and fails with E-FASTPATH-MISMATCH unless they agree
+# byte for byte; the goldens, computed on the fast path, get the
+# rebuild as their oracle.
+VDRAM_FASTPATH=verify ctest --test-dir build --output-on-failure -j "$jobs"
+
 echo "== full test suite (VDRAM_SIMD=off, scalar reference paths) =="
 # The vectorized trace parser and model kernels must be drop-in
 # replacements: the whole suite reruns with SIMD dispatch disabled so
 # the scalar fallbacks stay a tested source of truth, not dead code.
 VDRAM_SIMD=off ctest --test-dir build --output-on-failure -j "$jobs"
+
+echo "== native-target build: goldens and SIMD identity =="
+# The byte-identity contract holds for any x86-64 target: with FMA and
+# AVX-512 available the goldens must still match (the root
+# CMakeLists.txt pins -ffp-contract=off).
+cmake -B build-native -S . -DCMAKE_CXX_FLAGS=-march=native
+cmake --build build-native -j "$jobs" --target vdram_tests
+./build-native/tests/vdram_tests --gtest_filter='Golden*:SimdIdentity*'
 
 echo "== sanitized build (ASan + UBSan) =="
 cmake -B build-asan -S . -DVDRAM_SANITIZE=ON \
@@ -251,9 +267,17 @@ echo "== scheduler pipe smoke: sched | trace --check =="
     --policy=frfcfs --map=xor --count=3000 \
     > "$smokedir/sched.trace" 2> "$smokedir/sched.stats"
 grep -q "frfcfs" "$smokedir/sched.stats"
+# trace --check exits 4 on any violation, so the check is its status.
+set +e
 "$cli" trace preset:ddr3_2g_55 "$smokedir/sched.trace" --check \
     > "$smokedir/sched.txt" 2>&1
-grep -q "protocol-clean" "$smokedir/sched.txt"
+status=$?
+set -e
+if [ "$status" -ne 0 ]; then
+    echo "FAIL: scheduled trace --check exited $status, want 0" >&2
+    cat "$smokedir/sched.txt" >&2
+    exit 1
+fi
 # The matrix campaign must complete every cell violation-free (a
 # protocol violation in any cell exits 4).
 "$cli" sched preset:ddr3_2g_55 --matrix --count=400 --jobs="$jobs" \

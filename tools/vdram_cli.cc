@@ -35,7 +35,7 @@
 #include <cstring>
 
 #include <fstream>
-#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -302,7 +302,7 @@ printUsage(std::FILE* out)
         "                            slices in parallel; --window=N\n"
         "                            adds a per-window power timeline;\n"
         "                            --check runs the protocol check\n"
-        "                            (serial)\n"
+        "                            (serial; exit 4 on a violation)\n"
         "  help                      print this text (also --help)\n"
         "flags:\n"
         "  --lint                    parse + validate the target, report\n"
@@ -943,77 +943,52 @@ cmdSweep(const DramDescription& desc, CampaignFlags flags,
     installDrainHandler(flags.runner);
     DiagnosticEngine diags;
 
-    // Delta-evaluation fast path: one evaluator per worker slot, lazily
-    // built from the nominal model. An invalid base description falls
-    // back to the copying path, which reports it per row.
-    FastPathMode fast_path = fastPathMode();
-    std::vector<std::unique_ptr<VariantEvaluator>> evaluators(
-        static_cast<size_t>(
-            std::max(1, effectiveJobCount(flags.runner.jobs))));
-    if (fast_path != FastPathMode::Off &&
-        !DramPowerModel::create(desc).ok()) {
-        fast_path = FastPathMode::Off;
-    }
+    // Delta-evaluation fast path: one evaluator per worker slot, built
+    // from the nominal model. An invalid base description falls back to
+    // the copying path, which reports it per row.
+    Result<DramPowerModel> nominal = DramPowerModel::create(desc);
+    const FastPathMode fast_path =
+        nominal.ok() ? fastPathMode() : FastPathMode::Off;
+    std::optional<WorkerEvaluators> evaluators;
+    if (nominal.ok())
+        evaluators.emplace(nominal.value(), flags.runner.jobs);
 
-    auto slowRow = [&desc, param, &factors](long long index)
-        -> std::string {
-        DramDescription variant = desc;
-        param->apply(variant, factors[index]);
-        // A factor can push the description out of its valid range;
-        // report that row as not evaluable instead of dying.
-        Result<DramPowerModel> model =
-            DramPowerModel::create(std::move(variant));
-        if (!model.ok())
-            return "not evaluable: " + model.error().toString() +
-                   "\t-\t-\t-";
-        PatternPower power = model.value().evaluateDefault();
+    // A factor can push the description out of its valid range; that
+    // row is reported as not evaluable instead of failing the task.
+    auto rowOf = [](auto& model) -> Result<std::string> {
+        PatternPower power = model.evaluateDefault();
         return formatEng(power.power, "W") + "\t" +
-               formatEng(model.value().idd(IddMeasure::Idd0), "A") +
-               "\t" +
-               formatEng(model.value().idd(IddMeasure::Idd4R), "A") +
-               "\t" +
+               formatEng(model.idd(IddMeasure::Idd0), "A") + "\t" +
+               formatEng(model.idd(IddMeasure::Idd4R), "A") + "\t" +
                strformat("%.1f pJ", power.energyPerBit * 1e12);
     };
-    auto fastRow = [&](const TaskContext& context) -> std::string {
-        std::unique_ptr<VariantEvaluator>& slot =
-            evaluators[static_cast<size_t>(context.worker) %
-                       evaluators.size()];
-        if (!slot) {
-            // The base description validated above; build() panics only
-            // on internal invariant violations.
-            slot = std::make_unique<VariantEvaluator>(
-                DramPowerModel(desc));
-        }
-        Status status = slot->applyPerturbation(
-            [&](DramDescription& d) {
-                param->apply(d, factors[context.index]);
-            },
-            param->dirty);
-        if (!status.ok())
-            return "not evaluable: " + status.error().toString() +
-                   "\t-\t-\t-";
-        PatternPower power = slot->evaluateDefault();
-        return formatEng(power.power, "W") + "\t" +
-               formatEng(slot->idd(IddMeasure::Idd0), "A") + "\t" +
-               formatEng(slot->idd(IddMeasure::Idd4R), "A") + "\t" +
-               strformat("%.1f pJ", power.energyPerBit * 1e12);
+    auto notEvaluable = [](const Error& error) -> Result<std::string> {
+        return "not evaluable: " + error.toString() + "\t-\t-\t-";
     };
 
     BatchRunner runner(
         std::move(manifest),
         [&](const TaskContext& context) -> Result<std::string> {
-            std::string row = fast_path == FastPathMode::Off
-                                  ? slowRow(context.index)
-                                  : fastRow(context);
-            if (fast_path == FastPathMode::Verify &&
-                row != slowRow(context.index)) {
-                return Error{strformat("fast-path result of task %lld "
-                                       "differs from the full-rebuild "
-                                       "result",
-                                       context.index),
-                             0, 0, "", "E-FASTPATH-MISMATCH"};
-            }
-            return row;
+            const double factor = factors[context.index];
+            return evaluateFastOrSlow(
+                fast_path, context.index,
+                [&] {
+                    VariantEvaluator& evaluator =
+                        evaluators->forWorker(context.worker);
+                    Status status = evaluator.applyPerturbation(
+                        [&](DramDescription& d) { param->apply(d, factor); },
+                        param->dirty);
+                    return status.ok() ? rowOf(evaluator)
+                                       : notEvaluable(status.error());
+                },
+                [&] {
+                    DramDescription variant = desc;
+                    param->apply(variant, factor);
+                    Result<DramPowerModel> model =
+                        DramPowerModel::create(std::move(variant));
+                    return model.ok() ? rowOf(model.value())
+                                      : notEvaluable(model.error());
+                });
         },
         flags.runner);
     Result<RunReport> report = runner.run(&diags);
@@ -1573,11 +1548,12 @@ cmdTrace(const DramDescription& desc, CampaignFlags flags, int argc,
             std::printf("\n%s", table.render().c_str());
         }
     }
-    if (have_report) {
+    if (have_report)
         printRunReport(report, diags, flags.explicitFlags);
-        return exitCodeFor(report);
-    }
-    return kExitOk;
+    // As in sched --matrix, a protocol violation fails validation.
+    if (check && result.violationCount > 0)
+        return kExitValidate;
+    return have_report ? exitCodeFor(report) : kExitOk;
 }
 
 int
