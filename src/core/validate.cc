@@ -70,8 +70,7 @@ class Checker {
  * descriptions, where the provenance is known.
  */
 void
-checkCompleteness(const DramDescription& desc,
-                  const DescriptionSource& src, DiagnosticEngine& diags)
+checkCompleteness(const DescriptionSource& src, DiagnosticEngine& diags)
 {
     SourceLocation file_loc;
     file_loc.file = src.file;
@@ -544,7 +543,7 @@ validateDescription(const DramDescription& desc, DiagnosticEngine& diags,
 
     // Completeness stage (parsed descriptions only).
     if (source)
-        checkCompleteness(desc, *source, diags);
+        checkCompleteness(*source, diags);
 
     // Consistency stage. Order matters only for the legacy first-error
     // wrapper, which existing callers and tests rely on.

@@ -8,10 +8,8 @@
 #include <fstream>
 #include <stdexcept>
 
-#if !defined(_WIN32)
 #include <fcntl.h>
 #include <unistd.h>
-#endif
 
 #include "util/failpoint.h"
 #include "util/json.h"
@@ -31,11 +29,6 @@ namespace {
 Status
 syncPath(const std::string& path, bool directory)
 {
-#if defined(_WIN32)
-    (void)path;
-    (void)directory;
-    return Status::okStatus();
-#else
     int flags = O_RDONLY;
 #if defined(O_DIRECTORY)
     if (directory)
@@ -57,7 +50,6 @@ syncPath(const std::string& path, bool directory)
     }
     ::close(fd);
     return status;
-#endif
 }
 
 /** Containing directory of @p path ("." when it has none). */
@@ -436,9 +428,7 @@ CheckpointWriter::close()
         // them to stable storage before releasing the handle so a
         // completed run's checkpoint survives power loss.
         std::fflush(file_);
-#if !defined(_WIN32)
         ::fsync(::fileno(file_));
-#endif
         std::fclose(file_);
         file_ = nullptr;
     }

@@ -5,10 +5,8 @@
 #include <cstring>
 #include <thread>
 
-#if !defined(_WIN32)
 #include <sys/stat.h>
 #include <sys/types.h>
-#endif
 
 #include "util/json.h"
 
@@ -41,17 +39,6 @@ FleetStats::renderJson() const
     json.endObject();
     return json.str();
 }
-
-#if defined(_WIN32)
-
-Result<FleetStats>
-runFleet(const FleetOptions&)
-{
-    return Error{"vdram fleet requires POSIX sockets", 0, 0, "",
-                 "E-FLEET-SOCKET"};
-}
-
-#else
 
 Result<FleetStats>
 runFleet(const FleetOptions& options)
@@ -129,7 +116,5 @@ runFleet(const FleetOptions& options)
     stats.workersDrained = workersDrained;
     return stats;
 }
-
-#endif // defined(_WIN32)
 
 } // namespace vdram

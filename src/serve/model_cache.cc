@@ -30,14 +30,14 @@ ModelCache::get(std::uint64_t key)
     return it->second->desc;
 }
 
-void
+std::shared_ptr<const DramDescription>
 ModelCache::put(std::uint64_t key, DramDescription desc)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = index_.find(key);
     if (it != index_.end()) {
         lru_.splice(lru_.begin(), lru_, it->second);
-        return; // same canonical text — the snapshot is identical
+        return it->second->desc; // same canonical text, same snapshot
     }
     lru_.push_front(Entry{
         key, std::make_shared<const DramDescription>(std::move(desc))});
@@ -49,6 +49,7 @@ ModelCache::put(std::uint64_t key, DramDescription desc)
         if (metricsEnabled())
             globalMetrics().counter("serve.cache.evictions").add();
     }
+    return lru_.front().desc;
 }
 
 std::size_t

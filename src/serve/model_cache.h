@@ -38,8 +38,10 @@ class ModelCache {
     std::shared_ptr<const DramDescription> get(std::uint64_t key);
 
     /** Insert (or refresh) @p desc under @p key, evicting the least
-     *  recently used entry beyond capacity. */
-    void put(std::uint64_t key, DramDescription desc);
+     *  recently used entry beyond capacity. Returns the cached
+     *  snapshot. */
+    std::shared_ptr<const DramDescription> put(std::uint64_t key,
+                                               DramDescription desc);
 
     std::size_t size() const;
     long long hits() const;

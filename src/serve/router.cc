@@ -1,33 +1,20 @@
 #include "serve/router.h"
 
-#include <cerrno>
 #include <chrono>
-#include <cstring>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
-#if !defined(_WIN32)
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-#endif
-
 #include "dsl/parser.h"
 #include "dsl/writer.h"
 #include "presets/presets.h"
+#include "serve/line_server.h"
 #include "serve/protocol.h"
 #include "util/failpoint.h"
 #include "util/json.h"
 #include "util/metrics.h"
 #include "util/strings.h"
-
-#if !defined(MSG_NOSIGNAL)
-#define MSG_NOSIGNAL 0
-#endif
 
 namespace vdram {
 
@@ -50,17 +37,6 @@ RouterStats::renderJson() const
     json.endObject();
     return json.str();
 }
-
-#if defined(_WIN32)
-
-Result<RouterStats>
-runFleetRouter(const RouterOptions&)
-{
-    return Error{"vdram fleet requires POSIX sockets", 0, 0, "",
-                 "E-FLEET-SOCKET"};
-}
-
-#else
 
 namespace {
 
@@ -122,13 +98,11 @@ class Router {
 
     Result<RouterStats> run();
 
-  private:
     /** One backend connection of one client session. */
     struct Backend {
-        int fd = -1;
+        LineClient connection;
         int workerIndex = -1;
         long long generation = 0;
-        std::string buffer; ///< partial response bytes
     };
 
     /** Per-client-session routing state. */
@@ -142,11 +116,11 @@ class Router {
         bool replayOverflow = false;  ///< baseline not reconstructable
     };
 
-    Result<int> openListener();
-    void sessionMain(int fd);
     /** Answer one client line; false once the client socket is dead. */
     bool handleLine(int fd, RouterSession& session,
                     const std::string& line);
+
+  private:
     /** Bind the session to the worker owning @p routeKey (waits up to
      *  failoverWaitSeconds for a Ready worker). */
     Status ensureBackend(RouterSession& session,
@@ -181,117 +155,53 @@ class Router {
     RouterOptions options_;
     std::mutex statsMutex_;
     RouterStats stats_;
-    std::mutex threadsMutex_;
-    std::vector<std::thread> sessionThreads_;
     std::atomic<std::uint64_t> roundRobin_{0};
 };
 
-Result<int>
-Router::openListener()
-{
-    if (!options_.socketPath.empty()) {
-        int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-        if (fd < 0) {
-            return Error{std::string("cannot create unix socket: ") +
-                             std::strerror(errno),
-                         0, 0, options_.socketPath, "E-FLEET-SOCKET"};
-        }
-        sockaddr_un addr{};
-        addr.sun_family = AF_UNIX;
-        if (options_.socketPath.size() >= sizeof(addr.sun_path)) {
-            ::close(fd);
-            return Error{"socket path too long: " + options_.socketPath,
-                         0, 0, options_.socketPath, "E-FLEET-SOCKET"};
-        }
-        std::strncpy(addr.sun_path, options_.socketPath.c_str(),
-                     sizeof(addr.sun_path) - 1);
-        // The front socket is fleet-owned, same stale-file rule as the
-        // serve daemon's listener.
-        ::unlink(options_.socketPath.c_str());
-        if (::bind(fd, reinterpret_cast<sockaddr*>(&addr),
-                   sizeof(addr)) != 0 ||
-            ::listen(fd, 64) != 0) {
-            Error error{"cannot listen on '" + options_.socketPath +
-                            "': " + std::strerror(errno),
-                        0, 0, options_.socketPath, "E-FLEET-SOCKET"};
-            ::close(fd);
-            return error;
-        }
-        return fd;
+/** One client connection of the router on the line server. */
+class RoutedSession : public LineSession {
+  public:
+    RoutedSession(Router& router, int fd, std::uint64_t roundRobin)
+        : router_(router), fd_(fd)
+    {
+        session_.roundRobin = roundRobin;
     }
-    if (options_.port > 0) {
-        int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-        if (fd < 0) {
-            return Error{std::string("cannot create TCP socket: ") +
-                             std::strerror(errno),
-                         0, 0, "", "E-FLEET-SOCKET"};
-        }
-        int one = 1;
-        ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-        sockaddr_in addr{};
-        addr.sin_family = AF_INET;
-        addr.sin_port =
-            htons(static_cast<std::uint16_t>(options_.port));
-        // Loopback only, like the serve daemon: unauthenticated
-        // protocol, never reachable off-host.
-        addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-        if (::bind(fd, reinterpret_cast<sockaddr*>(&addr),
-                   sizeof(addr)) != 0 ||
-            ::listen(fd, 64) != 0) {
-            Error error{"cannot listen on loopback port " +
-                            std::to_string(options_.port) + ": " +
-                            std::strerror(errno),
-                        0, 0, "", "E-FLEET-SOCKET"};
-            ::close(fd);
-            return error;
-        }
-        return fd;
+
+    bool onLine(const std::string& line) override
+    {
+        return router_.handleLine(fd_, session_, line);
     }
-    return Error{"fleet needs --socket=PATH or --port=N", 0, 0, "",
-                 "E-FLEET-SOCKET"};
-}
+
+  private:
+    Router& router_;
+    int fd_;
+    Router::RouterSession session_;
+};
 
 Result<RouterStats>
 Router::run()
 {
-    Result<int> listener = openListener();
-    if (!listener.ok())
-        return listener.error();
-    const int listen_fd = listener.value();
-
-    if (options_.onReady)
-        options_.onReady();
-
-    while (!stopRequested()) {
-        pollfd pfd{listen_fd, POLLIN, 0};
-        int ready = ::poll(&pfd, 1, 200);
-        if (ready < 0) {
-            if (errno == EINTR)
-                continue;
-            break;
-        }
-        if (ready == 0)
-            continue;
-        int client = ::accept(listen_fd, nullptr, nullptr);
-        if (client < 0)
-            continue;
+    LineServerOptions line;
+    line.socketPath = options_.socketPath;
+    line.port = options_.port;
+    line.name = "fleet";
+    line.errorCode = "E-FLEET-SOCKET";
+    line.idleSessionSeconds = options_.idleSessionSeconds;
+    line.stopFlag = options_.stopFlag;
+    line.onReady = options_.onReady;
+    line.openSession = [this](int fd) -> std::unique_ptr<LineSession> {
         count(&RouterStats::connections, "fleet.connections");
-        std::lock_guard<std::mutex> lock(threadsMutex_);
-        sessionThreads_.emplace_back(&Router::sessionMain, this,
-                                     client);
-    }
-
-    ::close(listen_fd);
-    if (!options_.socketPath.empty())
-        ::unlink(options_.socketPath.c_str());
-    {
-        std::lock_guard<std::mutex> lock(threadsMutex_);
-        for (std::thread& t : sessionThreads_) {
-            if (t.joinable())
-                t.join();
-        }
-        sessionThreads_.clear();
-    }
+        return std::make_unique<RoutedSession>(
+            *this, fd, roundRobin_.fetch_add(1, std::memory_order_relaxed));
+    };
+    // Same quarantine as the serve daemon: a routing bug or injected
+    // crash (fleet.route=crash) tears down this session, not the fleet.
+    line.onSessionFault = [this] {
+        count(&RouterStats::sessionFaults, "fleet.sessions.faulted");
+    };
+    Status served = runLineServer(line);
+    if (!served.ok())
+        return served.error();
 
     std::lock_guard<std::mutex> lock(statsMutex_);
     stats_.drained = stopRequested();
@@ -299,76 +209,8 @@ Router::run()
 }
 
 void
-Router::sessionMain(int fd)
-{
-    RouterSession session;
-    session.roundRobin =
-        roundRobin_.fetch_add(1, std::memory_order_relaxed);
-    std::string buffer;
-    double idle_seconds = 0;
-    bool eof = false;
-
-    // Same quarantine as the serve daemon: a routing bug or injected
-    // crash (fleet.route=crash) tears down this session, not the fleet.
-    try {
-        for (;;) {
-            size_t pos;
-            bool writable = true;
-            while (writable &&
-                   (pos = buffer.find('\n')) != std::string::npos) {
-                std::string line = buffer.substr(0, pos);
-                buffer.erase(0, pos + 1);
-                writable = handleLine(fd, session, line);
-            }
-            if (!writable)
-                break;
-            if (stopRequested())
-                break; // drain: everything read has been answered
-            if (eof) {
-                if (!trim(buffer).empty())
-                    handleLine(fd, session, buffer);
-                break;
-            }
-            pollfd pfd{fd, POLLIN, 0};
-            int ready = ::poll(&pfd, 1, 200);
-            if (ready < 0) {
-                if (errno == EINTR)
-                    continue;
-                break;
-            }
-            if (ready == 0) {
-                idle_seconds += 0.2;
-                if (options_.idleSessionSeconds > 0 &&
-                    idle_seconds >= options_.idleSessionSeconds)
-                    break;
-                continue;
-            }
-            char chunk[4096];
-            ssize_t got = ::recv(fd, chunk, sizeof chunk, 0);
-            if (got < 0) {
-                if (errno == EINTR || errno == EAGAIN)
-                    continue;
-                break;
-            }
-            if (got == 0) {
-                eof = true;
-                continue;
-            }
-            idle_seconds = 0;
-            buffer.append(chunk, static_cast<size_t>(got));
-        }
-    } catch (...) {
-        count(&RouterStats::sessionFaults, "fleet.sessions.faulted");
-    }
-    closeBackend(session);
-    ::close(fd);
-}
-
-void
 Router::closeBackend(RouterSession& session)
 {
-    if (session.backend.fd >= 0)
-        ::close(session.backend.fd);
     session.backend = Backend{};
 }
 
@@ -383,27 +225,17 @@ Router::ensureBackend(RouterSession& session, std::uint64_t routeKey)
         if (index >= 0) {
             const FleetWorkerView& target =
                 workers[static_cast<size_t>(index)];
-            if (session.backend.fd >= 0 &&
+            if (session.backend.connection.connected() &&
                 session.backend.workerIndex == index &&
                 session.backend.generation == target.generation) {
                 return Status::okStatus(); // still the same incarnation
             }
             closeBackend(session);
-            int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-            if (fd >= 0) {
-                sockaddr_un addr{};
-                addr.sun_family = AF_UNIX;
-                std::strncpy(addr.sun_path, target.socketPath.c_str(),
-                             sizeof(addr.sun_path) - 1);
-                if (::connect(fd, reinterpret_cast<sockaddr*>(&addr),
-                              sizeof(addr)) == 0) {
-                    session.backend.fd = fd;
-                    session.backend.workerIndex = index;
-                    session.backend.generation = target.generation;
-                    session.backend.buffer.clear();
-                    return Status::okStatus();
-                }
-                ::close(fd);
+            if (session.backend.connection.connect(target.socketPath, 0)
+                    .ok()) {
+                session.backend.workerIndex = index;
+                session.backend.generation = target.generation;
+                return Status::okStatus();
             }
             // Connect raced with a worker death; fall through and wait
             // for the supervisor to see it too.
@@ -419,58 +251,18 @@ Router::ensureBackend(RouterSession& session, std::uint64_t routeKey)
 Result<std::string>
 Router::exchange(RouterSession& session, const std::string& line)
 {
-    Backend& backend = session.backend;
-    std::string out = line;
-    out += '\n';
-    size_t sent = 0;
-    while (sent < out.size()) {
-        ssize_t n = ::send(backend.fd, out.data() + sent,
-                           out.size() - sent, MSG_NOSIGNAL);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            // EPIPE/ECONNRESET here is the worker dying mid-request:
-            // the failover trigger, not a session error.
-            return Error{std::string("worker write failed: ") +
-                             std::strerror(errno),
-                         0, 0, "", "E-FLEET-SOCKET"};
-        }
-        sent += static_cast<size_t>(n);
+    // A failure here is the worker dying mid-request (EPIPE, reset,
+    // EOF): the failover trigger, not a session error. The wait for
+    // the answer is unbounded; the worker's own deadline bounds it.
+    LineClient& connection = session.backend.connection;
+    Status sent = connection.sendLine(line);
+    Result<std::string> response =
+        sent.ok() ? connection.readLine() : Result<std::string>(sent.error());
+    if (!response.ok()) {
+        return Error{"worker " + response.error().message, 0, 0, "",
+                     "E-FLEET-SOCKET"};
     }
-
-    for (;;) {
-        size_t pos = backend.buffer.find('\n');
-        if (pos != std::string::npos) {
-            std::string response = backend.buffer.substr(0, pos);
-            backend.buffer.erase(0, pos + 1);
-            return response;
-        }
-        pollfd pfd{backend.fd, POLLIN, 0};
-        int ready = ::poll(&pfd, 1, 200);
-        if (ready < 0) {
-            if (errno == EINTR)
-                continue;
-            return Error{std::string("worker poll failed: ") +
-                             std::strerror(errno),
-                         0, 0, "", "E-FLEET-SOCKET"};
-        }
-        if (ready == 0)
-            continue; // the worker's own deadline bounds this wait
-        char chunk[4096];
-        ssize_t got = ::recv(backend.fd, chunk, sizeof chunk, 0);
-        if (got < 0) {
-            if (errno == EINTR || errno == EAGAIN)
-                continue;
-            return Error{std::string("worker read failed: ") +
-                             std::strerror(errno),
-                         0, 0, "", "E-FLEET-SOCKET"};
-        }
-        if (got == 0) {
-            return Error{"worker closed mid-request", 0, 0, "",
-                         "E-FLEET-SOCKET"};
-        }
-        backend.buffer.append(chunk, static_cast<size_t>(got));
-    }
+    return response;
 }
 
 Status
@@ -543,23 +335,11 @@ Router::writeClient(int fd, const std::string& body)
 {
     if (body.empty())
         return true;
-    std::string line = body;
-    line += '\n';
-    size_t sent = 0;
-    while (sent < line.size()) {
-        ssize_t n = ::send(fd, line.data() + sent, line.size() - sent,
-                           MSG_NOSIGNAL);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            // EPIPE lands here (SIGPIPE is suppressed): the client is
-            // gone; the response is charged to responsesFailed and the
-            // session closes — the fleet lives.
-            count(&RouterStats::responsesFailed,
-                  "fleet.responses.failed");
-            return false;
-        }
-        sent += static_cast<size_t>(n);
+    if (!sendLine(fd, body)) {
+        // The client is gone: the response is charged to
+        // responsesFailed and the session closes; the fleet lives.
+        count(&RouterStats::responsesFailed, "fleet.responses.failed");
+        return false;
     }
     count(&RouterStats::responsesWritten, "fleet.responses.written");
     return true;
@@ -625,7 +405,6 @@ Router::handleLine(int fd, RouterSession& session,
     // A session re-homed by a load must carry nothing over; a session
     // continuing on its worker exchanges directly, failing over when
     // the worker dies under the request.
-    bool viaFailover = false;
     std::string response;
     Result<std::string> exchanged = exchange(session, line);
     if (exchanged.ok()) {
@@ -633,7 +412,6 @@ Router::handleLine(int fd, RouterSession& session,
     } else {
         Result<std::string> recovered =
             failover(session, routeKey, line);
-        viaFailover = true;
         if (recovered.ok()) {
             response = recovered.value();
         } else {
@@ -649,7 +427,6 @@ Router::handleLine(int fd, RouterSession& session,
         }
     }
     count(&RouterStats::requestsRouted, "fleet.requests.routed");
-    (void)viaFailover;
 
     // Track the replayable baseline: only acked state-changing ops.
     const bool ok = responseOk(response);
@@ -706,7 +483,5 @@ runFleetRouter(const RouterOptions& options)
     Router router(options);
     return router.run();
 }
-
-#endif // defined(_WIN32)
 
 } // namespace vdram

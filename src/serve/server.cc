@@ -4,22 +4,13 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
-#if !defined(_WIN32)
-#include <arpa/inet.h>
-#include <cerrno>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
-#endif
 
 #include "core/model.h"
 #include "core/sensitivity.h"
@@ -29,6 +20,7 @@
 #include "presets/presets.h"
 #include "protocol/idd.h"
 #include "runner/worker_pool.h"
+#include "serve/line_server.h"
 #include "serve/model_cache.h"
 #include "serve/protocol.h"
 #include "util/backoff.h"
@@ -37,10 +29,6 @@
 #include "util/json.h"
 #include "util/metrics.h"
 #include "util/strings.h"
-
-#if !defined(MSG_NOSIGNAL)
-#define MSG_NOSIGNAL 0
-#endif
 
 namespace vdram {
 
@@ -62,24 +50,6 @@ ServeStats::renderJson() const
     json.endObject();
     return json.str();
 }
-
-#if defined(_WIN32)
-
-Result<ServeStats>
-runServeServer(const ServeOptions&)
-{
-    return Error{"vdram serve requires POSIX sockets", 0, 0, "",
-                 "E-SERVE-SOCKET"};
-}
-
-Result<std::string>
-serveSendLines(const std::string&, int, const std::string&)
-{
-    return Error{"vdram serve requires POSIX sockets", 0, 0, "",
-                 "E-SERVE-SOCKET"};
-}
-
-#else
 
 namespace {
 
@@ -141,18 +111,27 @@ class Server {
 
     Result<ServeStats> run();
 
+    /** One request line -> exactly one response line. Returns false
+     *  when the connection is no longer writable. */
+    bool handleLine(int fd, Session& session, const std::string& line);
+
+    /** Move the open-session count by @p delta and publish it. */
+    void publishActiveSessions(int delta)
+    {
+        activeSessions_.fetch_add(delta, std::memory_order_relaxed);
+        if (metricsEnabled()) {
+            globalMetrics()
+                .gauge("serve.sessions.active")
+                .set(activeSessions_.load(std::memory_order_relaxed));
+        }
+    }
+
   private:
     bool stopRequested() const
     {
         return options_.stopFlag &&
                options_.stopFlag->load(std::memory_order_relaxed);
     }
-
-    Result<int> openListener();
-    void sessionMain(int fd);
-    /** One request line -> exactly one response line. Returns false
-     *  when the connection is no longer writable. */
-    bool handleLine(int fd, Session& session, const std::string& line);
     std::string executeRequest(Session& session,
                                const ServeRequest& request,
                                WorkerPool::JobContext& job);
@@ -176,205 +155,59 @@ class Server {
     ModelCache cache_;
     std::mutex statsMutex_;
     ServeStats stats_;
-    std::mutex threadsMutex_;
-    std::vector<std::thread> sessionThreads_;
     std::atomic<int> activeSessions_{0};
 };
 
-Result<int>
-Server::openListener()
-{
-    if (!options_.socketPath.empty()) {
-        int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-        if (fd < 0) {
-            return Error{std::string("cannot create unix socket: ") +
-                             std::strerror(errno),
-                         0, 0, options_.socketPath, "E-SERVE-SOCKET"};
-        }
-        sockaddr_un addr{};
-        addr.sun_family = AF_UNIX;
-        if (options_.socketPath.size() >= sizeof(addr.sun_path)) {
-            ::close(fd);
-            return Error{"socket path too long: " + options_.socketPath,
-                         0, 0, options_.socketPath, "E-SERVE-SOCKET"};
-        }
-        std::strncpy(addr.sun_path, options_.socketPath.c_str(),
-                     sizeof(addr.sun_path) - 1);
-        // The daemon owns its socket path: a stale file from a killed
-        // predecessor must not prevent startup.
-        ::unlink(options_.socketPath.c_str());
-        if (::bind(fd, reinterpret_cast<sockaddr*>(&addr),
-                   sizeof(addr)) != 0 ||
-            ::listen(fd, 64) != 0) {
-            Error error{"cannot listen on '" + options_.socketPath +
-                            "': " + std::strerror(errno),
-                        0, 0, options_.socketPath, "E-SERVE-SOCKET"};
-            ::close(fd);
-            return error;
-        }
-        return fd;
+/** One connection of the daemon on the line server. */
+class ServeSession : public LineSession {
+  public:
+    ServeSession(Server& server, int fd) : server_(server), fd_(fd) {}
+    ~ServeSession() override { server_.publishActiveSessions(-1); }
+
+    bool onLine(const std::string& line) override
+    {
+        return server_.handleLine(fd_, session_, line);
     }
-    if (options_.port > 0) {
-        int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-        if (fd < 0) {
-            return Error{std::string("cannot create TCP socket: ") +
-                             std::strerror(errno),
-                         0, 0, "", "E-SERVE-SOCKET"};
-        }
-        int one = 1;
-        ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-        sockaddr_in addr{};
-        addr.sin_family = AF_INET;
-        addr.sin_port =
-            htons(static_cast<std::uint16_t>(options_.port));
-        // Loopback only: the daemon speaks an unauthenticated protocol
-        // and must never be reachable from off-host.
-        addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-        if (::bind(fd, reinterpret_cast<sockaddr*>(&addr),
-                   sizeof(addr)) != 0 ||
-            ::listen(fd, 64) != 0) {
-            Error error{"cannot listen on loopback port " +
-                            std::to_string(options_.port) + ": " +
-                            std::strerror(errno),
-                        0, 0, "", "E-SERVE-SOCKET"};
-            ::close(fd);
-            return error;
-        }
-        return fd;
-    }
-    return Error{"serve needs --socket=PATH or --port=N", 0, 0, "",
-                 "E-SERVE-SOCKET"};
-}
+
+  private:
+    Server& server_;
+    int fd_;
+    Session session_;
+};
 
 Result<ServeStats>
 Server::run()
 {
-    Result<int> listener = openListener();
-    if (!listener.ok())
-        return listener.error();
-    const int listen_fd = listener.value();
-
-    if (options_.onReady)
-        options_.onReady();
-
-    // Accept loop: poll so the stop flag is observed within ~200 ms.
-    while (!stopRequested()) {
-        pollfd pfd{listen_fd, POLLIN, 0};
-        int ready = ::poll(&pfd, 1, 200);
-        if (ready < 0) {
-            if (errno == EINTR)
-                continue;
-            break; // listener died; drain what we have
-        }
-        if (ready == 0)
-            continue;
-        int client = ::accept(listen_fd, nullptr, nullptr);
-        if (client < 0)
-            continue; // transient accept failure; the daemon lives
+    LineServerOptions line;
+    line.socketPath = options_.socketPath;
+    line.port = options_.port;
+    line.name = "serve";
+    line.errorCode = "E-SERVE-SOCKET";
+    line.idleSessionSeconds = options_.idleSessionSeconds;
+    line.stopFlag = options_.stopFlag;
+    line.onReady = options_.onReady;
+    line.openSession = [this](int fd) -> std::unique_ptr<LineSession> {
         count(&ServeStats::connections, "serve.connections.accepted");
-        activeSessions_.fetch_add(1, std::memory_order_relaxed);
-        if (metricsEnabled()) {
-            globalMetrics()
-                .gauge("serve.sessions.active")
-                .set(activeSessions_.load(std::memory_order_relaxed));
-        }
-        std::lock_guard<std::mutex> lock(threadsMutex_);
-        sessionThreads_.emplace_back(&Server::sessionMain, this, client);
-    }
+        publishActiveSessions(1);
+        return std::make_unique<ServeSession>(*this, fd);
+    };
+    line.onIdleEvicted = [this] {
+        count(&ServeStats::idleEvicted, "serve.sessions.evicted_idle");
+    };
+    line.onSessionFault = [this] {
+        count(&ServeStats::sessionFaults, "serve.sessions.faulted");
+    };
+    Status served = runLineServer(line);
+    if (!served.ok())
+        return served.error();
 
-    // Drain: stop accepting, answer everything already read, then stop
-    // the pool. Session threads observe the stop flag within one poll
-    // round.
-    ::close(listen_fd);
-    if (!options_.socketPath.empty())
-        ::unlink(options_.socketPath.c_str());
-    {
-        std::lock_guard<std::mutex> lock(threadsMutex_);
-        for (std::thread& t : sessionThreads_) {
-            if (t.joinable())
-                t.join();
-        }
-        sessionThreads_.clear();
-    }
+    // Every session has answered what it read; only now stop the pool.
     pool_.drain();
     pool_.shutdown();
 
     std::lock_guard<std::mutex> lock(statsMutex_);
     stats_.drained = stopRequested();
     return stats_;
-}
-
-void
-Server::sessionMain(int fd)
-{
-    Session session;
-    std::string buffer;
-    double idle_seconds = 0;
-    bool eof = false;
-
-    // The whole session is exception-quarantined: a bug or injected
-    // crash tears down THIS connection, never the daemon.
-    try {
-        for (;;) {
-            size_t pos;
-            bool writable = true;
-            while (writable &&
-                   (pos = buffer.find('\n')) != std::string::npos) {
-                std::string line = buffer.substr(0, pos);
-                buffer.erase(0, pos + 1);
-                writable = handleLine(fd, session, line);
-            }
-            if (!writable)
-                break;
-            if (stopRequested())
-                break; // drain: everything read has been answered
-            if (eof) {
-                // Half-close: a final unterminated line still counts.
-                if (!trim(buffer).empty())
-                    handleLine(fd, session, buffer);
-                break;
-            }
-            pollfd pfd{fd, POLLIN, 0};
-            int ready = ::poll(&pfd, 1, 200);
-            if (ready < 0) {
-                if (errno == EINTR)
-                    continue;
-                break;
-            }
-            if (ready == 0) {
-                idle_seconds += 0.2;
-                if (options_.idleSessionSeconds > 0 &&
-                    idle_seconds >= options_.idleSessionSeconds) {
-                    count(&ServeStats::idleEvicted,
-                          "serve.sessions.evicted_idle");
-                    break;
-                }
-                continue;
-            }
-            char chunk[4096];
-            ssize_t got = ::recv(fd, chunk, sizeof chunk, 0);
-            if (got < 0) {
-                if (errno == EINTR || errno == EAGAIN)
-                    continue;
-                break;
-            }
-            if (got == 0) {
-                eof = true;
-                continue;
-            }
-            idle_seconds = 0;
-            buffer.append(chunk, static_cast<size_t>(got));
-        }
-    } catch (...) {
-        count(&ServeStats::sessionFaults, "serve.sessions.faulted");
-    }
-    ::close(fd);
-    activeSessions_.fetch_sub(1, std::memory_order_relaxed);
-    if (metricsEnabled()) {
-        globalMetrics()
-            .gauge("serve.sessions.active")
-            .set(activeSessions_.load(std::memory_order_relaxed));
-    }
 }
 
 bool
@@ -566,30 +399,27 @@ Server::handleRequest(Session& session, const ServeRequest& request,
             desc = std::move(parsed).value();
         }
 
+        // One build route for a hit and a miss: the cache holds the
+        // validated *input* description, never a built model's resolved
+        // copy, so the model (and how it re-resolves an auto floorplan
+        // under a structural perturb) is the same either way.
         const std::uint64_t key = fnv1a64(writeDescription(desc));
-        bool cached = false;
         std::shared_ptr<const DramDescription> snapshot =
             cache_.get(key);
-        if (snapshot) {
-            // Cache hit: the snapshot already validated; skip the full
-            // validation pass and build directly.
-            session.evaluator = std::make_unique<VariantEvaluator>(
-                DramPowerModel(*snapshot));
-            cached = true;
-        } else {
-            Result<DramPowerModel> model =
-                DramPowerModel::create(std::move(desc));
-            if (!model.ok()) {
-                const Error& error = model.error();
+        const bool cached = snapshot != nullptr;
+        if (!cached) {
+            Status valid = validateDescription(desc);
+            if (!valid.ok()) {
+                const Error& error = valid.error();
                 return renderServeError(
                     request.id,
                     error.code.empty() ? "E-SERVE-REQUEST" : error.code,
                     error.toString());
             }
-            cache_.put(key, model.value().description());
-            session.evaluator = std::make_unique<VariantEvaluator>(
-                std::move(model).value());
+            snapshot = cache_.put(key, std::move(desc));
         }
+        session.evaluator = std::make_unique<VariantEvaluator>(
+            DramPowerModel(*snapshot));
         session.modelKey = key;
         session.deviceName =
             session.evaluator->model().description().name;
@@ -737,8 +567,6 @@ Server::writeResponse(int fd, const std::string& body)
 {
     if (body.empty())
         return true; // a suppressed response (stall recovery path)
-    std::string line = body;
-    line += '\n';
 
     // Failpoint `serve.response`: the site's failure channel is the
     // socket write, so Error/PartialWrite simulate a dead or flaky
@@ -752,25 +580,15 @@ Server::writeResponse(int fd, const std::string& body)
         std::abort();
     if (hit.action == FailpointAction::Error ||
         hit.action == FailpointAction::PartialWrite) {
-        if (hit.action == FailpointAction::PartialWrite) {
-            ::send(fd, line.data(), line.size() / 2, MSG_NOSIGNAL);
-        }
+        // Half of the response line, newline included.
+        if (hit.action == FailpointAction::PartialWrite)
+            sendAll(fd, body.data(), (body.size() + 1) / 2);
         count(&ServeStats::responsesFailed, "serve.responses.failed");
         return false;
     }
-
-    size_t sent = 0;
-    while (sent < line.size()) {
-        ssize_t n = ::send(fd, line.data() + sent, line.size() - sent,
-                           MSG_NOSIGNAL);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            count(&ServeStats::responsesFailed,
-                  "serve.responses.failed");
-            return false;
-        }
-        sent += static_cast<size_t>(n);
+    if (!sendLine(fd, body)) {
+        count(&ServeStats::responsesFailed, "serve.responses.failed");
+        return false;
     }
     count(&ServeStats::responsesWritten, "serve.responses.written");
     return true;
@@ -789,121 +607,15 @@ Result<std::string>
 serveSendLines(const std::string& socketPath, int port,
                const std::string& input)
 {
-    int fd = -1;
-    if (!socketPath.empty()) {
-        fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-        if (fd < 0) {
-            return Error{std::string("cannot create unix socket: ") +
-                             std::strerror(errno),
-                         0, 0, socketPath, "E-SERVE-SOCKET"};
-        }
-        sockaddr_un addr{};
-        addr.sun_family = AF_UNIX;
-        if (socketPath.size() >= sizeof(addr.sun_path)) {
-            ::close(fd);
-            return Error{"socket path too long: " + socketPath, 0, 0,
-                         socketPath, "E-SERVE-SOCKET"};
-        }
-        std::strncpy(addr.sun_path, socketPath.c_str(),
-                     sizeof(addr.sun_path) - 1);
-        if (::connect(fd, reinterpret_cast<sockaddr*>(&addr),
-                      sizeof(addr)) != 0) {
-            // ECONNREFUSED/ENOENT mean no request reached a daemon —
-            // the one connect failure a client may safely retry.
-            const char* code = (errno == ECONNREFUSED ||
-                                errno == ENOENT)
-                                   ? "E-SERVE-REFUSED"
-                                   : "E-SERVE-SOCKET";
-            Error error{"cannot connect to '" + socketPath +
-                            "': " + std::strerror(errno),
-                        0, 0, socketPath, code};
-            ::close(fd);
-            return error;
-        }
-    } else if (port > 0) {
-        fd = ::socket(AF_INET, SOCK_STREAM, 0);
-        if (fd < 0) {
-            return Error{std::string("cannot create TCP socket: ") +
-                             std::strerror(errno),
-                         0, 0, "", "E-SERVE-SOCKET"};
-        }
-        sockaddr_in addr{};
-        addr.sin_family = AF_INET;
-        addr.sin_port = htons(static_cast<std::uint16_t>(port));
-        addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-        if (::connect(fd, reinterpret_cast<sockaddr*>(&addr),
-                      sizeof(addr)) != 0) {
-            const char* code = errno == ECONNREFUSED
-                                   ? "E-SERVE-REFUSED"
-                                   : "E-SERVE-SOCKET";
-            Error error{"cannot connect to loopback port " +
-                            std::to_string(port) + ": " +
-                            std::strerror(errno),
-                        0, 0, "", code};
-            ::close(fd);
-            return error;
-        }
-    } else {
-        return Error{"serve-send needs --socket=PATH or --port=N", 0, 0,
-                     "", "E-SERVE-SOCKET"};
-    }
-
+    LineClient client;
+    Status connected = client.connect(socketPath, port);
+    if (!connected.ok())
+        return connected.error();
     std::string out = input;
     if (!out.empty() && out.back() != '\n')
         out += '\n';
-    auto fail = [fd](const char* what) -> Error {
-        Error error{std::string(what) + std::strerror(errno), 0, 0, "",
-                    "E-SERVE-SOCKET"};
-        ::close(fd);
-        return error;
-    };
-
-    // Writes interleave with reads: the daemon answers while the batch
-    // is still arriving, so writing all of a large batch first would
-    // fill both socket buffers and deadlock client and daemon.
-    size_t sent = 0;
-    if (out.empty())
-        ::shutdown(fd, SHUT_WR);
-    std::string responses;
-    char chunk[4096];
-    for (;;) {
-        pollfd pfd{fd, POLLIN, 0};
-        if (sent < out.size())
-            pfd.events |= POLLOUT;
-        if (::poll(&pfd, 1, -1) < 0) {
-            if (errno == EINTR)
-                continue;
-            return fail("socket poll failed: ");
-        }
-        if (pfd.revents & (POLLIN | POLLHUP | POLLERR)) {
-            ssize_t got = ::recv(fd, chunk, sizeof chunk, MSG_DONTWAIT);
-            if (got == 0)
-                break;
-            if (got > 0) {
-                responses.append(chunk, static_cast<size_t>(got));
-            } else if (errno != EINTR && errno != EAGAIN &&
-                       errno != EWOULDBLOCK) {
-                return fail("response read failed: ");
-            }
-        }
-        if ((pfd.revents & POLLOUT) && sent < out.size()) {
-            ssize_t n = ::send(fd, out.data() + sent, out.size() - sent,
-                               MSG_NOSIGNAL | MSG_DONTWAIT);
-            if (n >= 0) {
-                sent += static_cast<size_t>(n);
-                if (sent == out.size())
-                    ::shutdown(fd, SHUT_WR);
-            } else if (errno != EINTR && errno != EAGAIN &&
-                       errno != EWOULDBLOCK) {
-                return fail("request write failed: ");
-            }
-        }
-    }
-    ::close(fd);
-    return responses;
+    return client.sendAllReadAll(out);
 }
-
-#endif // !defined(_WIN32)
 
 Result<std::string>
 serveSendLinesRetry(const ServeSendOptions& options,
@@ -923,12 +635,7 @@ serveSendLinesRetry(const ServeSendOptions& options,
     policy.baseSeconds = options.retryBaseSeconds;
     policy.maxSeconds = 5.0;
     policy.jitter = 0.25;
-#if !defined(_WIN32)
-    const std::uint64_t seedBase =
-        static_cast<std::uint64_t>(::getpid());
-#else
-    const std::uint64_t seedBase = 1;
-#endif
+    const std::uint64_t seedBase = static_cast<std::uint64_t>(::getpid());
 
     std::vector<std::string> responses(requests.size());
     std::vector<size_t> pending(requests.size());

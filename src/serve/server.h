@@ -28,8 +28,9 @@
  *    `serve.responses.written` plus `serve.responses.failed`.
  *
  * Transport: a unix-domain socket (socketPath) or a loopback-only TCP
- * port. One line of JSON per request, one line per response (see
- * serve/protocol.h and docs/serve.md).
+ * port, served by the line-session server the fleet router shares
+ * (serve/line_server.h). One line of JSON per request, one line per
+ * response (see serve/protocol.h and docs/serve.md).
  */
 #ifndef VDRAM_SERVE_SERVER_H
 #define VDRAM_SERVE_SERVER_H

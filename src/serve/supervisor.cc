@@ -1,35 +1,17 @@
 #include "serve/supervisor.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstring>
+#include <csignal>
 #include <stdexcept>
 #include <thread>
 
+#include "serve/line_server.h"
 #include "util/backoff.h"
 #include "util/failpoint.h"
 #include "util/metrics.h"
 #include "util/strings.h"
 #include "util/subprocess.h"
-
-#if !defined(_WIN32)
-#include <csignal>
-#include <fcntl.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-#endif
-
-// Non-POSIX builds: signalProcess() only reports E-SUBPROCESS, but the
-// supervision logic still needs the signal numbers to compile.
-#if !defined(SIGKILL)
-#define SIGKILL 9
-#endif
-#if !defined(SIGTERM)
-#define SIGTERM 15
-#endif
 
 namespace vdram {
 
@@ -86,17 +68,6 @@ pickFleetWorker(std::uint64_t hash,
     return -1;
 }
 
-#if defined(_WIN32)
-
-Result<double>
-probeServeWorker(const std::string& socketPath, double)
-{
-    return Error{"vdram fleet requires POSIX sockets", 0, 0, socketPath,
-                 "E-FLEET-SOCKET"};
-}
-
-#else
-
 Result<double>
 probeServeWorker(const std::string& socketPath, double timeoutSeconds)
 {
@@ -124,124 +95,29 @@ probeServeWorker(const std::string& socketPath, double timeoutSeconds)
         break; // Off / Delay (slept inside the hook) / PartialWrite
     }
 
+    // Connect, ping and pong all inside the probe deadline: a wedged or
+    // not yet listening worker must not block the supervisor.
     Clock::time_point started = Clock::now();
-    Clock::time_point deadline = after(started, timeoutSeconds);
-    auto remainingMs = [&]() -> int {
-        double left = secondsSince(Clock::now(), deadline);
-        if (left <= 0)
-            return 0;
-        return static_cast<int>(left * 1000.0) + 1;
+    auto fail = [&socketPath](const std::string& why) -> Error {
+        return Error{"heartbeat probe failed: " + why, 0, 0, socketPath,
+                     "E-FLEET-HEARTBEAT"};
     };
-
-    int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0) {
-        return Error{std::string("cannot create probe socket: ") +
-                         std::strerror(errno),
-                     0, 0, socketPath, "E-FLEET-HEARTBEAT"};
-    }
-    struct FdGuard {
-        int fd;
-        ~FdGuard() { ::close(fd); }
-    } guard{fd};
-
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    if (socketPath.size() >= sizeof(addr.sun_path)) {
-        return Error{"socket path too long: " + socketPath, 0, 0,
-                     socketPath, "E-FLEET-HEARTBEAT"};
-    }
-    std::strncpy(addr.sun_path, socketPath.c_str(),
-                 sizeof(addr.sun_path) - 1);
-
-    // Non-blocking connect bounded by the probe deadline: a wedged or
-    // not-yet-listening worker must not block the supervisor.
-    int flags = ::fcntl(fd, F_GETFL, 0);
-    ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr),
-                  sizeof(addr)) != 0) {
-        if (errno != EINPROGRESS && errno != EAGAIN) {
-            return Error{"cannot connect to worker '" + socketPath +
-                             "': " + std::strerror(errno),
-                         0, 0, socketPath, "E-FLEET-HEARTBEAT"};
-        }
-        pollfd pfd{fd, POLLOUT, 0};
-        int ready = ::poll(&pfd, 1, remainingMs());
-        if (ready <= 0) {
-            return Error{"worker connect timed out: " + socketPath, 0,
-                         0, socketPath, "E-FLEET-HEARTBEAT"};
-        }
-        int soError = 0;
-        socklen_t len = sizeof(soError);
-        if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &soError, &len) !=
-                0 ||
-            soError != 0) {
-            return Error{"worker connect failed: " + socketPath + ": " +
-                             std::strerror(soError ? soError : errno),
-                         0, 0, socketPath, "E-FLEET-HEARTBEAT"};
-        }
-    }
-
-    const std::string ping = "{\"id\":0,\"op\":\"ping\"}\n";
-    size_t sent = 0;
-    while (sent < ping.size()) {
-        ssize_t n = ::send(fd, ping.data() + sent, ping.size() - sent,
-                           MSG_NOSIGNAL);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            if (errno == EAGAIN || errno == EWOULDBLOCK) {
-                pollfd pfd{fd, POLLOUT, 0};
-                if (::poll(&pfd, 1, remainingMs()) <= 0) {
-                    return Error{"worker ping write timed out: " +
-                                     socketPath,
-                                 0, 0, socketPath, "E-FLEET-HEARTBEAT"};
-                }
-                continue;
-            }
-            return Error{"worker ping write failed: " +
-                             std::string(std::strerror(errno)),
-                         0, 0, socketPath, "E-FLEET-HEARTBEAT"};
-        }
-        sent += static_cast<size_t>(n);
-    }
-
-    std::string response;
-    char chunk[256];
-    while (response.find('\n') == std::string::npos) {
-        pollfd pfd{fd, POLLIN, 0};
-        int ready = ::poll(&pfd, 1, remainingMs());
-        if (ready < 0) {
-            if (errno == EINTR)
-                continue;
-            return Error{"worker ping poll failed: " +
-                             std::string(std::strerror(errno)),
-                         0, 0, socketPath, "E-FLEET-HEARTBEAT"};
-        }
-        if (ready == 0) {
-            return Error{"worker ping timed out: " + socketPath, 0, 0,
-                         socketPath, "E-FLEET-HEARTBEAT"};
-        }
-        ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-        if (n < 0) {
-            if (errno == EINTR || errno == EAGAIN ||
-                errno == EWOULDBLOCK)
-                continue;
-            return Error{"worker ping read failed: " +
-                             std::string(std::strerror(errno)),
-                         0, 0, socketPath, "E-FLEET-HEARTBEAT"};
-        }
-        if (n == 0)
-            break; // worker closed before answering
-        response.append(chunk, static_cast<size_t>(n));
-    }
-    if (response.find("\"pong\"") == std::string::npos) {
-        return Error{"worker did not pong: " + socketPath, 0, 0,
-                     socketPath, "E-FLEET-HEARTBEAT"};
-    }
+    LineClient probe;
+    Status connected = probe.connect(socketPath, 0, timeoutSeconds);
+    if (!connected.ok())
+        return fail(connected.error().message);
+    Status pinged = probe.sendLine("{\"id\":0,\"op\":\"ping\"}");
+    if (!pinged.ok())
+        return fail(pinged.error().message);
+    const double left =
+        timeoutSeconds - secondsSince(started, Clock::now());
+    Result<std::string> pong = probe.readLine(std::max(left, 1e-3));
+    if (!pong.ok())
+        return fail(pong.error().message);
+    if (pong.value().find("\"pong\"") == std::string::npos)
+        return fail("no pong from '" + socketPath + "'");
     return secondsSince(started, Clock::now());
 }
-
-#endif // defined(_WIN32)
 
 Supervisor::Supervisor(SupervisorOptions options)
     : options_(std::move(options))

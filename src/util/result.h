@@ -19,6 +19,15 @@ namespace vdram {
 
 /** An error message with optional source location (for DSL diagnostics). */
 struct Error {
+    Error() = default;
+    /** Every field after @p message is optional, in declaration order. */
+    explicit Error(std::string message, int line = 0, int column = 0,
+                   std::string file = {}, std::string code = {})
+        : message(std::move(message)), line(line), column(column),
+          file(std::move(file)), code(std::move(code))
+    {
+    }
+
     std::string message;
     /** 1-based line in the input file; 0 when not applicable. */
     int line = 0;

@@ -5,7 +5,6 @@
 #include <csignal>
 #include <cstring>
 
-#if !defined(_WIN32)
 #include <fcntl.h>
 #include <sys/types.h>
 #include <sys/wait.h>
@@ -13,45 +12,8 @@
 #if defined(__linux__)
 #include <sys/syscall.h>
 #endif
-#endif
 
 namespace vdram {
-
-#if defined(_WIN32)
-
-Result<long long>
-spawnProcess(const SpawnOptions&)
-{
-    return Error{"subprocess support requires POSIX", 0, 0, "",
-                 "E-SUBPROCESS"};
-}
-
-Result<ReapResult>
-reapProcess(long long, bool)
-{
-    return Error{"subprocess support requires POSIX", 0, 0, "",
-                 "E-SUBPROCESS"};
-}
-
-Status
-signalProcess(long long, int)
-{
-    return Error{"subprocess support requires POSIX", 0, 0, "",
-                 "E-SUBPROCESS"};
-}
-
-void
-installSigchldNotifier()
-{
-}
-
-long long
-sigchldEvents()
-{
-    return 0;
-}
-
-#else
 
 namespace {
 
@@ -172,7 +134,5 @@ sigchldEvents()
 {
     return g_sigchld_events.load(std::memory_order_relaxed);
 }
-
-#endif // !defined(_WIN32)
 
 } // namespace vdram

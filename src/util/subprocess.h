@@ -9,8 +9,6 @@
  * without ever blocking its control loop (reap with WNOHANG). The
  * helper is deliberately small — argv-vector exec, optional stderr
  * redirection, no shell.
- *
- * On non-POSIX builds every entry point reports E-SUBPROCESS.
  */
 #ifndef VDRAM_UTIL_SUBPROCESS_H
 #define VDRAM_UTIL_SUBPROCESS_H

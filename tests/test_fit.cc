@@ -206,8 +206,9 @@ TEST(FitDifferentialTest, ObjectiveIsMonotonicallyNonIncreasingPerStart)
         EXPECT_LE(step.objective, prev.objective)
             << "start " << step.start << " generation "
             << step.generation;
-        if (step.accepted)
+        if (step.accepted) {
             EXPECT_LT(step.objective, prev.objective);
+        }
     }
 }
 

@@ -22,22 +22,20 @@
 #include <thread>
 #include <vector>
 
+#include "loopback_port.h"
 #include "serve/fleet.h"
+#include "serve/line_server.h"
 #include "serve/router.h"
+#include "serve/server.h"
 #include "serve/supervisor.h"
 #include "util/backoff.h"
 #include "util/failpoint.h"
 #include "util/result.h"
 #include "util/subprocess.h"
 
-#if !defined(_WIN32)
 #include <csignal>
-#include <poll.h>
-#include <sys/socket.h>
 #include <sys/stat.h>
-#include <sys/un.h>
 #include <unistd.h>
-#endif
 
 namespace vdram {
 namespace {
@@ -111,8 +109,6 @@ TEST(BackoffTest, JitterIsBoundedAndSeedDeterministic)
 // Subprocess helper
 // ---------------------------------------------------------------------
 
-#if !defined(_WIN32)
-
 TEST(SubprocessTest, SpawnAndReapReportsExitCode)
 {
     SpawnOptions spawn;
@@ -177,8 +173,6 @@ TEST(SubprocessTest, SigchldNotifierCountsChildDeaths)
     EXPECT_EQ(reaped.value().exitCode, 0);
 }
 
-#endif // !_WIN32
-
 // ---------------------------------------------------------------------
 // Routing pick
 // ---------------------------------------------------------------------
@@ -233,8 +227,6 @@ TEST(PickFleetWorkerTest, NoReadyWorkerYieldsMinusOne)
 // /bin/false, which "crashes" instantly on every spawn).
 // ---------------------------------------------------------------------
 
-#if !defined(_WIN32)
-
 TEST(SupervisorTest, RestartBudgetExhaustionMarksSlotsDead)
 {
     SupervisorOptions options;
@@ -288,106 +280,72 @@ TEST(SupervisorTest, RestartBudgetExhaustionMarksSlotsDead)
     EXPECT_TRUE(supervisor.drain(1.0)); // nothing left to drain
 }
 
-#endif // !_WIN32
+TEST(FleetRouterTest, ListenerErrorsAreSocketErrors)
+{
+    // The listener is opened before any worker is consulted, so a
+    // supervisor that never started is enough.
+    Supervisor supervisor{SupervisorOptions{}};
+    RouterOptions tooLong;
+    tooLong.supervisor = &supervisor;
+    tooLong.socketPath = "/tmp/" + std::string(200, 'x') + ".sock";
+    Result<RouterStats> longPath = runFleetRouter(tooLong);
+    ASSERT_FALSE(longPath.ok());
+    EXPECT_EQ(longPath.error().code, "E-FLEET-SOCKET");
+
+    RouterOptions nowhere;
+    nowhere.supervisor = &supervisor;
+    Result<RouterStats> none = runFleetRouter(nowhere);
+    ASSERT_FALSE(none.ok());
+    EXPECT_EQ(none.error().code, "E-FLEET-SOCKET");
+}
 
 // ---------------------------------------------------------------------
 // End-to-end fleet lifecycle, against real `vdram serve` workers.
 // VDRAM_CLI_PATH is injected by tests/CMakeLists.txt.
 // ---------------------------------------------------------------------
 
-#if !defined(_WIN32) && defined(VDRAM_CLI_PATH)
+#if defined(VDRAM_CLI_PATH)
 
 /** Newline-JSON client holding ONE session open across requests (the
  *  failover path only exists within a persistent session). */
-class LineClient {
+class SessionClient {
   public:
-    ~LineClient()
-    {
-        if (fd_ >= 0)
-            ::close(fd_);
-    }
-
     bool connectTo(const std::string& path)
     {
-        fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-        if (fd_ < 0)
-            return false;
-        sockaddr_un addr{};
-        addr.sun_family = AF_UNIX;
-        std::snprintf(addr.sun_path, sizeof(addr.sun_path), "%s",
-                      path.c_str());
-        if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr),
-                      sizeof(addr)) != 0) {
-            ::close(fd_);
-            fd_ = -1;
-            return false;
-        }
-        return true;
+        return connection_.connect(path, 0).ok();
     }
 
     /** Send one request line, read one response line (bounded). */
     Result<std::string> request(const std::string& line,
                                 double timeoutSeconds = 30.0)
     {
-        std::string out = line;
-        if (out.empty() || out.back() != '\n')
-            out.push_back('\n');
-        std::size_t sent = 0;
-        while (sent < out.size()) {
-            ssize_t n = ::send(fd_, out.data() + sent,
-                               out.size() - sent, MSG_NOSIGNAL);
-            if (n < 0 && errno == EINTR)
-                continue;
-            if (n <= 0)
-                return Error{"send failed", 0, 0, "", "E-SERVE-SOCKET"};
-            sent += static_cast<std::size_t>(n);
-        }
-        auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::duration<double>(timeoutSeconds);
-        while (true) {
-            std::size_t eol = buffer_.find('\n');
-            if (eol != std::string::npos) {
-                std::string reply = buffer_.substr(0, eol);
-                buffer_.erase(0, eol + 1);
-                return reply;
-            }
-            if (std::chrono::steady_clock::now() >= deadline)
-                return Error{"response timeout", 0, 0, "",
-                             "E-SERVE-SOCKET"};
-            pollfd pfd{fd_, POLLIN, 0};
-            int ready = ::poll(&pfd, 1, 100);
-            if (ready < 0 && errno != EINTR)
-                return Error{"poll failed", 0, 0, "", "E-SERVE-SOCKET"};
-            if (ready <= 0)
-                continue;
-            char chunk[4096];
-            ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-            if (n < 0 && errno == EINTR)
-                continue;
-            if (n <= 0)
-                return Error{"connection closed", 0, 0, "",
-                             "E-SERVE-SOCKET"};
-            buffer_.append(chunk, static_cast<std::size_t>(n));
-        }
+        Status sent = connection_.sendLine(line);
+        if (!sent.ok())
+            return sent.error();
+        return connection_.readLine(timeoutSeconds);
     }
 
   private:
-    int fd_ = -1;
-    std::string buffer_;
+    LineClient connection_;
 };
 
 /** Run a real fleet (spawning VDRAM_CLI_PATH workers) on a background
- *  thread; stop() raises the stop flag and returns the final stats. */
+ *  thread; stop() raises the stop flag and returns the final stats.
+ *  The front listener is a unix socket, or loopback @p port when set. */
 class FleetHarness {
   public:
-    explicit FleetHarness(int workers, const std::string& name)
+    explicit FleetHarness(int workers, const std::string& name,
+                          int port = 0)
     {
         dir_ = testing::TempDir() + "vdram_fleet_" + name + "_" +
                std::to_string(::getpid());
         ::mkdir(dir_.c_str(), 0755);
 
         options_.exePath = VDRAM_CLI_PATH;
-        options_.socketPath = dir_ + "/front.sock";
+        if (port > 0)
+            options_.port = port;
+        else
+            options_.socketPath = dir_ + "/front.sock";
         options_.socketDir = dir_ + "/workers";
         options_.workers = workers;
         options_.heartbeatSeconds = 0.05;
@@ -482,7 +440,7 @@ TEST(FleetEndToEndTest, RoutesLoadEvaluateAcrossWorkersAndDrains)
     FleetHarness fleet(2, "route");
     ASSERT_TRUE(fleet.ready());
 
-    LineClient client;
+    SessionClient client;
     ASSERT_TRUE(client.connectTo(fleet.frontSocket()));
 
     Result<std::string> pong =
@@ -516,12 +474,36 @@ TEST(FleetEndToEndTest, RoutesLoadEvaluateAcrossWorkersAndDrains)
     EXPECT_EQ(stats.router.failovers, 0);
 }
 
+TEST(FleetEndToEndTest, TcpLoopbackRoundTrip)
+{
+    const int port = freeLoopbackPort();
+    ASSERT_GT(port, 0);
+    FleetHarness fleet(1, "tcp", port);
+    ASSERT_TRUE(fleet.ready());
+
+    Result<std::string> replies = serveSendLines(
+        "", port,
+        "{\"id\":1,\"op\":\"ping\"}\n"
+        "{\"id\":2,\"op\":\"load\",\"preset\":\"ddr3_1g_55\"}\n");
+    ASSERT_TRUE(replies.ok()) << replies.error().toString();
+    const std::string& out = replies.value();
+    const std::size_t eol = out.find('\n');
+    ASSERT_NE(eol, std::string::npos);
+    EXPECT_NE(out.substr(0, eol).find("\"pong\":true"), std::string::npos);
+    EXPECT_NE(out.substr(eol + 1).find("\"ok\":true"), std::string::npos);
+
+    FleetStats stats = fleet.stop();
+    ASSERT_TRUE(fleet.finishedOk());
+    EXPECT_EQ(stats.router.requestsAccepted, 2);
+    EXPECT_TRUE(stats.invariantHolds());
+}
+
 TEST(FleetEndToEndTest, RouteFailpointShedsWithStructuredResponse)
 {
     FleetHarness fleet(2, "shed");
     ASSERT_TRUE(fleet.ready());
 
-    LineClient client;
+    SessionClient client;
     ASSERT_TRUE(client.connectTo(fleet.frontSocket()));
 
     FailpointGuard guard;
@@ -553,7 +535,7 @@ TEST(FleetEndToEndTest, FailoverReplaysSessionAfterWorkerKill)
     FleetHarness fleet(1, "failover");
     ASSERT_TRUE(fleet.ready());
 
-    LineClient client;
+    SessionClient client;
     ASSERT_TRUE(client.connectTo(fleet.frontSocket()));
 
     Result<std::string> loaded = client.request(
@@ -613,7 +595,7 @@ TEST(FleetEndToEndTest, FailoverReplaysSessionAfterWorkerKill)
     EXPECT_TRUE(stats.invariantHolds());
 }
 
-#endif // !_WIN32 && VDRAM_CLI_PATH
+#endif // VDRAM_CLI_PATH
 
 } // namespace
 } // namespace vdram

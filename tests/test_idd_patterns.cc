@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <ostream>
 
 #include "core/builder.h"
 #include "protocol/bank_fsm.h"
@@ -15,6 +16,18 @@
 #include "tech/generations.h"
 
 namespace vdram {
+
+// gtest's default printer would dump the struct's raw bytes into the
+// listed test names (which ctest takes from --gtest_list_tests); print
+// the label so the names stay the same from run to run. It lives in
+// namespace vdram, not the anonymous one, so that argument-dependent
+// lookup finds it for vdram::GenerationInfo.
+static void
+PrintTo(const GenerationInfo& gen, std::ostream* os)
+{
+    *os << gen.label();
+}
+
 namespace {
 
 class IddPatternLadderTest

@@ -22,6 +22,9 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "core/sensitivity.h"
+#include "loopback_port.h"
+#include "protocol/idd.h"
 #include "serve/model_cache.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
@@ -75,7 +78,7 @@ class DaemonFixture {
 
     Result<std::string> send(const std::string& lines)
     {
-        return serveSendLines(options_.socketPath, 0, lines);
+        return serveSendLines(options_.socketPath, options_.port, lines);
     }
 
   private:
@@ -236,6 +239,110 @@ TEST(ServeDaemonTest, LoadEvaluatePerturbFlowAndCacheHit)
     EXPECT_TRUE(stats.drained);
     EXPECT_EQ(stats.requestsAccepted,
               stats.responsesWritten + stats.responsesFailed);
+}
+
+TEST(ServeDaemonTest, CacheHitAnswersLikeAMiss)
+{
+    // Every preset and every perturbable parameter, structural and
+    // value alike: load, perturb x0.9, then all 11 IDDs. Consecutive
+    // loads name different presets, so with one cache slot every load
+    // of the first daemon misses; the second daemon is warmed with
+    // every preset first, so every load hits. A hit must build the
+    // same model as a miss, so every answer must match byte for byte.
+    const std::vector<NamedPreset>& presets = namedPresets();
+    std::string batch;
+    std::string warm;
+    long long id = 0;
+    for (const NamedPreset& preset : presets) {
+        warm += strformat("{\"id\":%lld,\"op\":\"load\",\"preset\":"
+                          "\"%s\"}\n",
+                          ++id, preset.name.c_str());
+    }
+    for (const SweepParam& param : sweepParameters(SweepMode::Detailed)) {
+        for (const NamedPreset& preset : presets) {
+            batch += strformat("{\"id\":%lld,\"op\":\"load\","
+                               "\"preset\":\"%s\"}\n",
+                               ++id, preset.name.c_str());
+            batch += strformat("{\"id\":%lld,\"op\":\"perturb\","
+                               "\"param\":\"%s\",\"factor\":0.9}\n",
+                               ++id, param.name.c_str());
+            for (int m = 0; m < kIddMeasureCount; ++m) {
+                batch += strformat(
+                    "{\"id\":%lld,\"op\":\"idd\",\"measure\":\"%s\"}\n",
+                    ++id,
+                    toLower(iddName(static_cast<IddMeasure>(m))).c_str());
+            }
+        }
+    }
+
+    ServeOptions missOptions = baseOptions("miss");
+    missOptions.cacheCapacity = 1;
+    ServeOptions hitOptions = baseOptions("hit");
+    hitOptions.cacheCapacity = presets.size();
+    DaemonFixture missDaemon(missOptions);
+    DaemonFixture hitDaemon(hitOptions);
+    ASSERT_TRUE(missDaemon.ready());
+    ASSERT_TRUE(hitDaemon.ready());
+    ASSERT_TRUE(hitDaemon.send(warm).ok());
+    Result<std::string> missed = missDaemon.send(batch);
+    Result<std::string> hit = hitDaemon.send(batch);
+    ASSERT_TRUE(missed.ok()) << missed.error().toString();
+    ASSERT_TRUE(hit.ok()) << hit.error().toString();
+    std::vector<std::string> missLines = lines(missed.value());
+    std::vector<std::string> hitLines = lines(hit.value());
+    ASSERT_EQ(missLines.size(), hitLines.size());
+
+    int mismatches = 0;
+    for (size_t i = 0; i < missLines.size(); ++i) {
+        if (missLines[i].find("\"cached\":") != std::string::npos) {
+            EXPECT_NE(missLines[i].find("\"cached\":false"),
+                      std::string::npos);
+            EXPECT_NE(hitLines[i].find("\"cached\":true"),
+                      std::string::npos);
+        } else if (missLines[i] != hitLines[i] && ++mismatches <= 3) {
+            ADD_FAILURE() << "miss: " << missLines[i]
+                          << "\nhit:  " << hitLines[i];
+        }
+    }
+    EXPECT_EQ(mismatches, 0);
+}
+
+TEST(ServeDaemonTest, TcpLoopbackRoundTrip)
+{
+    ServeOptions options = baseOptions("tcp");
+    options.socketPath.clear();
+    options.port = freeLoopbackPort();
+    ASSERT_GT(options.port, 0);
+    DaemonFixture daemon(options);
+    ASSERT_TRUE(daemon.ready());
+
+    Result<std::string> replies = serveSendLines(
+        "", options.port,
+        "{\"id\":1,\"op\":\"ping\"}\n"
+        "{\"id\":2,\"op\":\"load\",\"preset\":\"ddr3_2g_55\"}\n");
+    ASSERT_TRUE(replies.ok()) << replies.error().toString();
+    std::vector<std::string> out = lines(replies.value());
+    ASSERT_EQ(out.size(), 2u);
+    EXPECT_NE(out[0].find("\"pong\":true"), std::string::npos);
+    EXPECT_NE(out[1].find("\"ok\":true"), std::string::npos);
+
+    ServeStats stats = daemon.stopAndJoin();
+    EXPECT_EQ(stats.requestsAccepted, 2);
+    EXPECT_EQ(stats.requestsAccepted,
+              stats.responsesWritten + stats.responsesFailed);
+}
+
+TEST(ServeDaemonTest, ListenerErrorsAreSocketErrors)
+{
+    ServeOptions tooLong;
+    tooLong.socketPath = "/tmp/" + std::string(200, 'x') + ".sock";
+    Result<ServeStats> longPath = runServeServer(tooLong);
+    ASSERT_FALSE(longPath.ok());
+    EXPECT_EQ(longPath.error().code, "E-SERVE-SOCKET");
+
+    Result<ServeStats> nowhere = runServeServer(ServeOptions{});
+    ASSERT_FALSE(nowhere.ok());
+    EXPECT_EQ(nowhere.error().code, "E-SERVE-SOCKET");
 }
 
 TEST(ServeDaemonTest, LargeBatchDoesNotDeadlockTheClient)

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# Full CI sequence: normal build + complete test suite (also under
-# VDRAM_FASTPATH=verify and VDRAM_SIMD=off), a -march=native build of
-# the golden and SIMD-identity suites, then an ASan+UBSan build of the
+# Full CI sequence: normal warning-free (-Werror) build + complete test
+# suite (also under VDRAM_FASTPATH=verify and VDRAM_SIMD=off), a
+# -march=native build of the golden and SIMD-identity suites whose
+# end-to-end benchmark digests must match the normal build's, then an
+# ASan+UBSan build of the
 # robustness surface (parser, validator, diagnostics, CLI lint), a
 # ThreadSanitizer build of the batch-runner and serve-daemon concurrency
 # surface, failpoint chaos smokes (kill -9 mid-checkpoint + resume
@@ -18,8 +20,10 @@ set -euo pipefail
 
 jobs=$(nproc 2>/dev/null || echo 4)
 
-echo "== release build + full test suite (VDRAM_SIMD default) =="
-cmake -B build -S .
+echo "== release build (-Werror) + full test suite (VDRAM_SIMD default) =="
+# The build must stay warning-free: a screen of old warnings hides a
+# new one.
+cmake -B build -S . -DCMAKE_CXX_FLAGS=-Werror
 cmake --build build -j "$jobs"
 ctest --test-dir build --output-on-failure -j "$jobs"
 
@@ -36,13 +40,36 @@ echo "== full test suite (VDRAM_SIMD=off, scalar reference paths) =="
 # the scalar fallbacks stay a tested source of truth, not dead code.
 VDRAM_SIMD=off ctest --test-dir build --output-on-failure -j "$jobs"
 
-echo "== native-target build: goldens and SIMD identity =="
+echo "== native-target build: goldens, SIMD identity, benchmark digests =="
 # The byte-identity contract holds for any x86-64 target: with FMA and
 # AVX-512 available the goldens must still match (the root
-# CMakeLists.txt pins -ffp-contract=off).
+# CMakeLists.txt pins -ffp-contract=off), and so must the seed-1
+# output_digest of every end-to-end benchmark workload.
 cmake -B build-native -S . -DCMAKE_CXX_FLAGS=-march=native
-cmake --build build-native -j "$jobs" --target vdram_tests
+cmake --build build-native -j "$jobs" \
+      --target vdram_tests bench_e2e vdram_cli
 ./build-native/tests/vdram_tests --gtest_filter='Golden*:SimdIdentity*'
+root=$(pwd)
+digestdir=$(mktemp -d)
+for workload in mc_campaign trace_replay sched_trace serve_whatif \
+                fleet_mixed; do
+    for tree in build build-native; do
+        # A relative work directory keeps the unix socket paths short.
+        (cd "$digestdir" &&
+            "$root/$tree/bench/e2e/bench_e2e" --workload="$workload" \
+                --seed=1 --seconds=0.4 --scale=0.01 \
+                --workdir="$tree-$workload") |
+            grep '^output_digest ' > "$digestdir/$tree.digest"
+    done
+    if ! cmp -s "$digestdir/build.digest" \
+            "$digestdir/build-native.digest"; then
+        echo "FAIL: $workload output_digest differs between build" \
+             "and build-native" >&2
+        cat "$digestdir/build.digest" "$digestdir/build-native.digest" >&2
+        exit 1
+    fi
+done
+rm -rf "$digestdir"
 
 echo "== sanitized build (ASan + UBSan) =="
 cmake -B build-asan -S . -DVDRAM_SANITIZE=ON \

@@ -39,9 +39,7 @@
 #include <string>
 #include <vector>
 
-#if !defined(_WIN32)
 #include <unistd.h>
-#endif
 
 #include "circuit/rc_timing.h"
 #include "core/json_export.h"
@@ -157,7 +155,6 @@ std::string g_argv0;
 std::string
 resolveSelfExe()
 {
-#if !defined(_WIN32)
     char buffer[4096];
     ssize_t got =
         ::readlink("/proc/self/exe", buffer, sizeof(buffer) - 1);
@@ -165,7 +162,6 @@ resolveSelfExe()
         buffer[got] = '\0';
         return std::string(buffer);
     }
-#endif
     return g_argv0;
 }
 
@@ -175,9 +171,7 @@ resolveSelfExe()
 void
 ignoreSigpipe()
 {
-#if !defined(_WIN32)
     std::signal(SIGPIPE, SIG_IGN);
-#endif
 }
 
 extern "C" void
