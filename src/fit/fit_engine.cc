@@ -195,21 +195,19 @@ runGeneration(const FitSetup& setup, const FitOptions& fit,
     options.checkpointPath.clear();
     options.resume = false;
 
-    BatchRunner runner(
+    BatchRunner<std::vector<double>> runner(
         std::move(manifest),
-        [&](const TaskContext& context) -> Result<std::string> {
+        [&](const TaskContext& context) {
             const std::vector<double>& factors =
                 candidates[static_cast<size_t>(context.index)];
             return evaluateFastOrSlow(
                 fastPath, context.index,
                 [&] {
-                    return encodeDoublePayload(evaluateFast(
+                    return evaluateFast(
                         setup, evaluators.forWorker(context.worker),
-                        factors));
+                        factors);
                 },
-                [&] {
-                    return encodeDoublePayload(evaluateSlow(setup, factors));
-                });
+                [&] { return evaluateSlow(setup, factors); });
         },
         options);
 
@@ -231,18 +229,10 @@ runGeneration(const FitSetup& setup, const FitOptions& fit,
 
     std::vector<double> objectives(candidates.size(), kInf);
     for (const TaskResult& task : runner.results()) {
-        if (!task.ok())
-            continue;
-        Result<std::vector<double>> decoded =
-            decodeDoublePayload(task.payload);
-        if (!decoded.ok() ||
-            decoded.value().size() != 1 + setup.spec->targets.size()) {
-            return fitError("E-CKPT-PAYLOAD",
-                            strformat("candidate %lld has a corrupt "
-                                      "payload",
-                                      task.index));
+        if (task.ok()) {
+            objectives[static_cast<size_t>(task.index)] =
+                runner.payloads()[task.index][0];
         }
-        objectives[static_cast<size_t>(task.index)] = decoded.value()[0];
     }
     return objectives;
 }

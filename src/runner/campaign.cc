@@ -24,55 +24,16 @@ fastPathMode()
     return FastPathMode::On;
 }
 
-std::string
-encodeDoublePayload(const std::vector<double>& values)
-{
-    std::vector<std::string> parts;
-    parts.reserve(values.size());
-    for (double v : values)
-        parts.push_back(strformat("%.17g", v));
-    return join(parts, " ");
-}
-
-Result<std::string>
-encodeDoublePayload(const Result<std::vector<double>>& values)
-{
-    if (!values.ok())
-        return values.error();
-    return encodeDoublePayload(values.value());
-}
-
-Result<std::vector<double>>
-decodeDoublePayload(const std::string& text)
-{
-    std::vector<double> values;
-    for (const std::string& token : splitWhitespace(text)) {
-        char* end = nullptr;
-        double v = std::strtod(token.c_str(), &end);
-        if (end != token.c_str() + token.size()) {
-            return Error{"corrupt numeric payload token '" + token + "'",
-                         0, 0, "", "E-CKPT-PAYLOAD"};
-        }
-        values.push_back(v);
-    }
-    return values;
-}
-
 namespace {
 
-/** The @p width doubles of an ok task's payload; E-CKPT-PAYLOAD when a
- *  (resumed) record does not decode to that many. */
-Result<std::vector<double>>
-decodeTaskPayload(const TaskResult& task, size_t width,
-                  const std::string& checkpointPath)
+/** A resumed payload that does not carry the campaign's width of
+ *  doubles. */
+Error
+payloadWidthError(long long index, const std::string& checkpointPath)
 {
-    Result<std::vector<double>> decoded = decodeDoublePayload(task.payload);
-    if (!decoded.ok() || decoded.value().size() != width) {
-        return Error{strformat("task %lld has a corrupt checkpoint payload",
-                               task.index),
-                     0, 0, checkpointPath, "E-CKPT-PAYLOAD"};
-    }
-    return decoded;
+    return Error{strformat("task %lld has a corrupt checkpoint payload",
+                           index),
+                 0, 0, checkpointPath, "E-CKPT-PAYLOAD"};
 }
 
 } // namespace
@@ -105,19 +66,19 @@ runMonteCarloCampaign(const DramDescription& nominal,
 
     const FastPathMode fast_path = fastPathMode();
     WorkerEvaluators evaluators(nominal_model.value(), options.jobs);
-    BatchRunner runner(
+    BatchRunner<std::vector<double>> runner(
         std::move(manifest),
-        [&](const TaskContext& context) -> Result<std::string> {
+        [&](const TaskContext& context) {
             return evaluateFastOrSlow(
                 fast_path, context.index,
                 [&] {
-                    return encodeDoublePayload(evaluateMonteCarloSampleFast(
+                    return evaluateMonteCarloSampleFast(
                         evaluators.forWorker(context.worker), variation,
-                        measures, context.seed));
+                        measures, context.seed);
                 },
                 [&] {
-                    return encodeDoublePayload(evaluateMonteCarloSample(
-                        nominal, variation, measures, context.seed));
+                    return evaluateMonteCarloSample(nominal, variation,
+                                                    measures, context.seed);
                 });
         },
         options);
@@ -130,12 +91,11 @@ runMonteCarloCampaign(const DramDescription& nominal,
     for (const TaskResult& task : runner.results()) {
         if (!task.ok())
             continue;
-        Result<std::vector<double>> decoded =
-            decodeTaskPayload(task, measures.size(), options.checkpointPath);
-        if (!decoded.ok())
-            return decoded.error();
+        const std::vector<double>& sample = runner.payloads()[task.index];
+        if (sample.size() != measures.size())
+            return payloadWidthError(task.index, options.checkpointPath);
         for (size_t m = 0; m < measures.size(); ++m)
-            values[m].push_back(decoded.value()[m]);
+            values[m].push_back(sample[m]);
     }
 
     MonteCarloCampaign campaign;
@@ -174,20 +134,19 @@ runSensitivityCampaign(const DramDescription& base, double variation,
     WorkerEvaluators evaluators(base_model.value(), options.jobs);
     // Both paths evaluate + before -, so a perturbation that breaks the
     // description surfaces the same (first) error either way.
-    auto pairOf = [&](auto sideOf) -> Result<std::string> {
+    auto pairOf = [&](auto sideOf) -> Result<std::vector<double>> {
         Result<double> plus = sideOf(1.0 + variation);
         if (!plus.ok())
             return plus.error();
         Result<double> minus = sideOf(1.0 - variation);
         if (!minus.ok())
             return minus.error();
-        return encodeDoublePayload(std::vector<double>{
-            plus.value() / basePower - 1.0,
-                                    minus.value() / basePower - 1.0});
+        return std::vector<double>{plus.value() / basePower - 1.0,
+                                   minus.value() / basePower - 1.0};
     };
-    BatchRunner runner(
+    BatchRunner<std::vector<double>> runner(
         std::move(manifest),
-        [&](const TaskContext& context) -> Result<std::string> {
+        [&](const TaskContext& context) {
             const SweepParam& param = params[context.index];
             return evaluateFastOrSlow(
                 fast_path, context.index,
@@ -224,14 +183,13 @@ runSensitivityCampaign(const DramDescription& base, double variation,
     for (const TaskResult& task : runner.results()) {
         if (!task.ok())
             continue;
-        Result<std::vector<double>> decoded =
-            decodeTaskPayload(task, 2, options.checkpointPath);
-        if (!decoded.ok())
-            return decoded.error();
+        const std::vector<double>& pair = runner.payloads()[task.index];
+        if (pair.size() != 2)
+            return payloadWidthError(task.index, options.checkpointPath);
         SensitivityResult r;
         r.name = task.spec.name;
-        r.plus = decoded.value()[0];
-        r.minus = decoded.value()[1];
+        r.plus = pair[0];
+        r.minus = pair[1];
         campaign.results.push_back(std::move(r));
     }
     // stable_sort: parameters with equal spread keep manifest order, so
@@ -260,10 +218,10 @@ runTrendsCampaign(const BuilderOptions& builderOptions,
     // a different description built from scratch, so there is no nominal
     // model to delta against. The campaign still gains from create()'s
     // single validation pass.
-    BatchRunner runner(
+    BatchRunner<std::vector<double>> runner(
         std::move(manifest),
         [&ladder, &builderOptions](const TaskContext& context)
-            -> Result<std::string> {
+            -> Result<std::vector<double>> {
             const GenerationInfo& gen = ladder[context.index];
             DramDescription desc =
                 buildCommodityDescription(gen, builderOptions);
@@ -272,10 +230,10 @@ runTrendsCampaign(const BuilderOptions& builderOptions,
             if (!model.ok())
                 return model.error();
             const DramPowerModel& m = model.value();
-            return encodeDoublePayload(
-                {m.area().dieArea * 1e6, m.energyPerBit(),
-                 m.idd(IddMeasure::Idd0), m.idd(IddMeasure::Idd4R),
-                 m.area().arrayEfficiency});
+            return std::vector<double>{
+                m.area().dieArea * 1e6, m.energyPerBit(),
+                m.idd(IddMeasure::Idd0), m.idd(IddMeasure::Idd4R),
+                m.area().arrayEfficiency};
         },
         options);
 
@@ -288,10 +246,9 @@ runTrendsCampaign(const BuilderOptions& builderOptions,
     for (const TaskResult& task : runner.results()) {
         if (!task.ok())
             continue;
-        Result<std::vector<double>> decoded =
-            decodeTaskPayload(task, 5, options.checkpointPath);
-        if (!decoded.ok())
-            return decoded.error();
+        const std::vector<double>& v = runner.payloads()[task.index];
+        if (v.size() != 5)
+            return payloadWidthError(task.index, options.checkpointPath);
         const GenerationInfo& gen = ladder[task.index];
         TrendPoint p;
         p.generation = gen;
@@ -301,11 +258,11 @@ runTrendsCampaign(const BuilderOptions& builderOptions,
         p.vbl = gen.vbl;
         p.dataRatePerPin = gen.dataRatePerPin;
         p.tRcSeconds = gen.tRcSeconds;
-        p.dieAreaMm2 = decoded.value()[0];
-        p.energyPerBit = decoded.value()[1];
-        p.idd0 = decoded.value()[2];
-        p.idd4r = decoded.value()[3];
-        p.arrayEfficiency = decoded.value()[4];
+        p.dieAreaMm2 = v[0];
+        p.energyPerBit = v[1];
+        p.idd0 = v[2];
+        p.idd4r = v[3];
+        p.arrayEfficiency = v[4];
         campaign.points.push_back(std::move(p));
     }
     return campaign;

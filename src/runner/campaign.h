@@ -7,14 +7,16 @@
  * sensitivity parameter, ladder generation or sweep factor), runs it
  * through BatchRunner — gaining parallelism, fault isolation, retry,
  * checkpoint/resume and graceful draining — and aggregates the ok
- * payloads back into the study's native result type. Aggregation always
- * walks tasks in manifest order, so a resumed or parallel run produces
- * a byte-identical aggregate to a serial one.
+ * payloads (one std::vector<double> per task) back into the study's
+ * native result type. Aggregation always walks tasks in manifest order,
+ * so a resumed or parallel run produces a byte-identical aggregate to a
+ * serial one.
  */
 #ifndef VDRAM_RUNNER_CAMPAIGN_H
 #define VDRAM_RUNNER_CAMPAIGN_H
 
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -70,27 +72,45 @@ class WorkerEvaluators {
     std::vector<std::unique_ptr<VariantEvaluator>> slots_;
 };
 
+/** Payload equality for the Verify comparison. */
+inline bool
+samePayload(const std::string& a, const std::string& b)
+{
+    return a == b;
+}
+
+/** Bit equality: -0.0 differs from +0.0 and a NaN equals its own bits,
+ *  as they would in the %.17g checkpoint text. */
+inline bool
+samePayload(const std::vector<double>& a, const std::vector<double>& b)
+{
+    return a.size() == b.size() &&
+           (a.empty() ||
+            std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) ==
+                0);
+}
+
 /**
  * Evaluate task @p index on the path @p mode selects. @p fast (the
  * delta evaluation) and @p slow (its full-rebuild twin) are callables
- * returning the task's Result<std::string> payload. Under Verify both
- * run, and the task fails with E-FASTPATH-MISMATCH unless the payloads
- * are byte-identical or both failed with the same diagnostic code (the
- * error then passes through).
+ * returning the task's Result payload. Under Verify both run, and the
+ * task fails with E-FASTPATH-MISMATCH unless the payloads are
+ * samePayload() or both failed with the same diagnostic code (the error
+ * then passes through).
  */
 template <typename Fast, typename Slow>
-Result<std::string>
+auto
 evaluateFastOrSlow(FastPathMode mode, long long index, Fast&& fast,
-                   Slow&& slow)
+                   Slow&& slow) -> decltype(slow())
 {
     if (mode == FastPathMode::Off)
         return slow();
-    Result<std::string> result = fast();
+    decltype(slow()) result = fast();
     if (mode == FastPathMode::Verify) {
-        const Result<std::string> reference = slow();
+        const decltype(slow()) reference = slow();
         const bool same =
             result.ok() == reference.ok() &&
-            (result.ok() ? result.value() == reference.value()
+            (result.ok() ? samePayload(result.value(), reference.value())
                          : result.error().code == reference.error().code);
         if (!same) {
             return Error{"fast-path result of task " +
@@ -154,19 +174,6 @@ Result<TrendsCampaign>
 runTrendsCampaign(const BuilderOptions& builderOptions,
                   const RunnerOptions& options,
                   DiagnosticEngine* diags = nullptr);
-
-/**
- * Serialize doubles as a space-separated full-precision ("%.17g")
- * payload that round-trips bit-exactly through the checkpoint.
- */
-std::string encodeDoublePayload(const std::vector<double>& values);
-
-/** encodeDoublePayload() of an ok result; an error passes through. */
-Result<std::string>
-encodeDoublePayload(const Result<std::vector<double>>& values);
-
-/** Inverse of encodeDoublePayload(). */
-Result<std::vector<double>> decodeDoublePayload(const std::string& text);
 
 } // namespace vdram
 

@@ -1,6 +1,8 @@
 #include "runner/checkpoint.h"
 
+#include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cstdlib>
 #include <cstring>
 
@@ -209,6 +211,57 @@ class RecordParser {
 };
 
 } // namespace
+
+std::string
+encodeDoublePayload(const std::vector<double>& values)
+{
+    // to_chars(general, 17) is specified as printf("%.17g"), so the
+    // bytes match the historical strformat() join exactly. 24 chars
+    // cover the longest form ("-2.2250738585072014e-308") plus the
+    // separator.
+    constexpr size_t kMaxToken = 25;
+    std::string out(values.size() * kMaxToken, '\0');
+    char* pos = out.data();
+    char* const end = out.data() + out.size();
+    for (size_t i = 0; i < values.size(); ++i) {
+        if (i > 0)
+            *pos++ = ' ';
+        pos = std::to_chars(pos, end, values[i],
+                            std::chars_format::general, 17)
+                  .ptr;
+    }
+    out.resize(static_cast<size_t>(pos - out.data()));
+    return out;
+}
+
+Result<std::vector<double>>
+decodeDoublePayload(const std::string& text)
+{
+    auto isSpace = [](char c) {
+        return std::isspace(static_cast<unsigned char>(c)) != 0;
+    };
+    std::vector<double> values;
+    const char* pos = text.data();
+    const char* const end = text.data() + text.size();
+    for (;;) {
+        while (pos != end && isSpace(*pos))
+            ++pos;
+        if (pos == end)
+            return values;
+        const char* token = pos;
+        while (pos != end && !isSpace(*pos))
+            ++pos;
+        double value = 0;
+        const std::from_chars_result parsed =
+            std::from_chars(token, pos, value);
+        if (parsed.ec != std::errc() || parsed.ptr != pos) {
+            return Error{"corrupt numeric payload token '" +
+                             std::string(token, pos) + "'",
+                         0, 0, "", "E-CKPT-PAYLOAD"};
+        }
+        values.push_back(value);
+    }
+}
 
 std::string
 formatTaskRecord(const TaskRecord& record)

@@ -13,6 +13,7 @@
 #ifndef VDRAM_RUNNER_CHECKPOINT_H
 #define VDRAM_RUNNER_CHECKPOINT_H
 
+#include <concepts>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -20,6 +21,48 @@
 #include "util/result.h"
 
 namespace vdram {
+
+/**
+ * Serialize doubles as a space-separated full-precision ("%.17g")
+ * payload that round-trips bit-exactly through the checkpoint.
+ */
+std::string encodeDoublePayload(const std::vector<double>& values);
+
+/** Inverse of encodeDoublePayload(); a token that is not a whole
+ *  decimal number is E-CKPT-PAYLOAD. */
+Result<std::vector<double>> decodeDoublePayload(const std::string& text);
+
+/**
+ * Text form of a runner payload type, used only at the checkpoint
+ * boundary: encode() when a record is written, decode() on resume.
+ * A type without a specialization is carried in memory only.
+ */
+template <typename P> struct PayloadCodec {};
+
+template <> struct PayloadCodec<std::string> {
+    static std::string encode(const std::string& payload) { return payload; }
+    static Result<std::string> decode(const std::string& text)
+    {
+        return text;
+    }
+};
+
+template <> struct PayloadCodec<std::vector<double>> {
+    static std::string encode(const std::vector<double>& payload)
+    {
+        return encodeDoublePayload(payload);
+    }
+    static Result<std::vector<double>> decode(const std::string& text)
+    {
+        return decodeDoublePayload(text);
+    }
+};
+
+/** Payload types a checkpoint can carry. */
+template <typename P>
+concept CheckpointablePayload = requires(const P& payload) {
+    { PayloadCodec<P>::encode(payload) } -> std::same_as<std::string>;
+};
 
 /** One persisted task outcome (a line of the checkpoint file). */
 struct TaskRecord {

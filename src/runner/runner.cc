@@ -176,22 +176,21 @@ effectiveJobCount(int jobs)
     return hw > 0 ? static_cast<int>(hw) : 1;
 }
 
-BatchRunner::BatchRunner(std::vector<TaskSpec> manifest, TaskFn fn,
-                         RunnerOptions options)
-    : manifest_(std::move(manifest)), fn_(std::move(fn)),
-      options_(std::move(options))
+RunnerCore::RunnerCore(std::vector<TaskSpec> manifest,
+                       RunnerOptions options)
+    : manifest_(std::move(manifest)), options_(std::move(options))
 {
 }
 
 bool
-BatchRunner::stopRequested() const
+RunnerCore::stopRequested() const
 {
     return options_.stopFlag &&
            options_.stopFlag->load(std::memory_order_relaxed);
 }
 
-Result<std::string>
-BatchRunner::invokeOnce(const TaskContext& context)
+Status
+RunnerCore::invokeOnce(const TaskContext& context)
 {
     // The named-failpoint site for task invocation. Error is reported
     // transient (exercises the retry ladder like the legacy FaultPlan);
@@ -252,11 +251,11 @@ BatchRunner::invokeOnce(const TaskContext& context)
         }
         }
     }
-    return fn_(context);
+    return invokeTask(context);
 }
 
 TaskResult
-BatchRunner::executeTask(long long index, WorkerPool::JobContext& job)
+RunnerCore::executeTask(long long index, WorkerPool::JobContext& job)
 {
     TaskResult result;
     result.index = index;
@@ -282,15 +281,11 @@ BatchRunner::executeTask(long long index, WorkerPool::JobContext& job)
         Error error;
         bool threw = false;
         bool ok = false;
-        std::string payload;
         try {
-            Result<std::string> r = invokeOnce(context);
-            if (r.ok()) {
-                ok = true;
-                payload = std::move(r).value();
-            } else {
-                error = r.error();
-            }
+            Status status = invokeOnce(context);
+            ok = status.ok();
+            if (!ok)
+                error = status.error();
         } catch (const std::exception& e) {
             threw = true;
             error = Error{std::string("uncaught exception: ") + e.what(),
@@ -305,6 +300,7 @@ BatchRunner::executeTask(long long index, WorkerPool::JobContext& job)
         if (job.cancelled()) {
             // The watchdog fired while this attempt ran; whatever the
             // task returned after its deadline is not trusted.
+            dropPayload(index);
             result.outcome = TaskOutcome::TimedOut;
             result.error = strformat("deadline of %.3f s exceeded",
                                      options_.taskTimeoutSeconds);
@@ -312,7 +308,6 @@ BatchRunner::executeTask(long long index, WorkerPool::JobContext& job)
         }
         if (ok) {
             result.outcome = TaskOutcome::Ok;
-            result.payload = std::move(payload);
             break;
         }
         if (!threw && isTransientCode(error.code) &&
@@ -339,9 +334,14 @@ BatchRunner::executeTask(long long index, WorkerPool::JobContext& job)
 }
 
 Result<RunReport>
-BatchRunner::run(DiagnosticEngine* diags)
+RunnerCore::runTasks(DiagnosticEngine* diags)
 {
     const long long total = static_cast<long long>(manifest_.size());
+    if (!options_.checkpointPath.empty() && !checkpointable()) {
+        return Error{"this campaign's task payloads have no checkpoint "
+                     "form; run it without --checkpoint",
+                     0, 0, options_.checkpointPath, "E-CKPT-UNSUPPORTED"};
+    }
     results_.assign(manifest_.size(), TaskResult{});
     for (long long i = 0; i < total; ++i) {
         results_[i].index = i;
@@ -388,10 +388,16 @@ BatchRunner::run(DiagnosticEngine* diags)
         for (const TaskRecord& record : loaded.value()) {
             if (!record.ok() || record.task < 0 || record.task >= total)
                 continue;
+            if (!restorePayload(record.task, record.payload).ok()) {
+                return Error{strformat("task %lld has a corrupt "
+                                       "checkpoint payload",
+                                       record.task),
+                             0, 0, options_.checkpointPath,
+                             "E-CKPT-PAYLOAD"};
+            }
             TaskResult& r = results_[record.task];
             r.outcome = TaskOutcome::SkippedResume;
             r.attempts = record.attempts;
-            r.payload = record.payload;
         }
     }
 
@@ -412,6 +418,28 @@ BatchRunner::run(DiagnosticEngine* diags)
     const int jobs = static_cast<int>(std::max<long long>(
         1, std::min<long long>(effectiveJobCount(options_.jobs), total)));
 
+    // Per-worker utilization counters, resolved once per run (metrics
+    // on at its start): a task records through the handles, never
+    // through the named registry.
+    struct WorkerCounters {
+        Counter* busyNanos;
+        Counter* tasks;
+    };
+    std::vector<WorkerCounters> worker_counters;
+    if (metricsEnabled()) {
+        for (int w = 0; w < jobs; ++w) {
+            worker_counters.push_back(
+                {&globalMetrics().counter(
+                     strformat("runner.worker.%d.busy_ns", w)),
+                 &globalMetrics().counter(
+                     strformat("runner.worker.%d.tasks", w))});
+        }
+    }
+    long long queued = 0;
+    for (const TaskResult& r : results_)
+        queued += r.outcome == TaskOutcome::SkippedResume ? 0 : 1;
+    std::atomic<long long> started{0};
+
     Clock::time_point start = Clock::now();
 
     // One job per manifest task on the shared pool (FIFO dispatch, same
@@ -422,24 +450,25 @@ BatchRunner::run(DiagnosticEngine* diags)
     for (long long i = 0; i < total; ++i) {
         if (results_[i].outcome == TaskOutcome::SkippedResume)
             continue;
-        pool.submit([this, i, &pool, &writer, &checkpoint_mutex,
+        pool.submit([this, i, queued, &started, &worker_counters, &writer,
+                     &checkpoint_mutex,
                      &checkpoint_ok](WorkerPool::JobContext& job) {
             if (stopRequested())
                 return; // drain: no new task starts
-            const bool instrumented = metricsEnabled();
-            if (instrumented)
-                runnerInstruments().queueDepth.set(pool.queueDepth());
+            const bool instrumented = !worker_counters.empty();
+            if (instrumented) {
+                // Jobs not yet started, without taking the pool's lock.
+                runnerInstruments().queueDepth.set(
+                    queued - 1 -
+                    started.fetch_add(1, std::memory_order_relaxed));
+            }
             TaskResult result = executeTask(i, job);
             if (instrumented) {
-                globalMetrics()
-                    .counter(strformat("runner.worker.%d.busy_ns",
-                                       job.worker()))
-                    .add(static_cast<std::uint64_t>(result.seconds *
-                                                    1e9));
-                globalMetrics()
-                    .counter(
-                        strformat("runner.worker.%d.tasks", job.worker()))
-                    .add();
+                const WorkerCounters& counters =
+                    worker_counters[static_cast<size_t>(job.worker())];
+                counters.busyNanos->add(
+                    static_cast<std::uint64_t>(result.seconds * 1e9));
+                counters.tasks->add();
             }
             if (checkpoint_ok.load(std::memory_order_acquire)) {
                 TaskRecord record;
@@ -447,7 +476,8 @@ BatchRunner::run(DiagnosticEngine* diags)
                 record.name = result.spec.name;
                 record.status = checkpointStatusOf(result.outcome);
                 record.attempts = result.attempts;
-                record.payload = result.payload;
+                if (result.ok())
+                    record.payload = encodePayload(i);
                 record.error = result.error;
                 std::lock_guard<std::mutex> lock(checkpoint_mutex);
                 // A failing checkpoint disk must not abort the campaign;
@@ -544,7 +574,8 @@ BatchRunner::run(DiagnosticEngine* diags)
             record.name = r.spec.name;
             record.status = checkpointStatusOf(r.outcome);
             record.attempts = r.attempts;
-            record.payload = r.payload;
+            if (r.ok())
+                record.payload = encodePayload(r.index);
             record.error = r.error;
             records.push_back(std::move(record));
         }

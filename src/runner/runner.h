@@ -16,6 +16,8 @@
  *  - bounded retry with exponential backoff for transient errors
  *    (diagnostic codes starting "T-"),
  *  - a per-task deadline watchdog (cooperative cancellation),
+ *  - typed task payloads: each task's value stays in the campaign's
+ *    own type in memory and becomes text only in a checkpoint record,
  *  - crash-safe JSONL checkpointing (see checkpoint.h) so --resume
  *    skips already-completed tasks,
  *  - graceful stop draining: when the stop flag rises, in-flight tasks
@@ -31,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "runner/checkpoint.h"
 #include "runner/fault_injection.h"
 #include "runner/worker_pool.h"
 #include "util/diag.h"
@@ -71,11 +74,12 @@ struct TaskContext {
 };
 
 /**
- * A task computes an opaque string payload (the unit the checkpoint
- * persists) or reports an error Result. Errors whose diagnostic code
- * starts with "T-" are treated as transient and retried.
+ * A task computes a payload of the campaign's own type @p P or reports
+ * an error Result. Errors whose diagnostic code starts with "T-" are
+ * treated as transient and retried.
  */
-using TaskFn = std::function<Result<std::string>(const TaskContext&)>;
+template <typename P>
+using TaskFn = std::function<Result<P>(const TaskContext&)>;
 
 /** Terminal state of one task. */
 enum class TaskOutcome {
@@ -96,8 +100,6 @@ struct TaskResult {
     TaskSpec spec;
     TaskOutcome outcome = TaskOutcome::NotRun;
     int attempts = 0;
-    /** Payload for Ok / SkippedResume outcomes. */
-    std::string payload;
     /** Error description for failed/quarantined/timed-out outcomes. */
     std::string error;
     double seconds = 0;
@@ -159,14 +161,24 @@ struct RunnerOptions {
 };
 
 /**
- * The batch engine. Construct with a manifest, a task function and
- * options; run() executes the campaign and returns the report. Results
- * are available per task, in manifest order, afterwards.
+ * The payload-independent engine behind BatchRunner: the pool, retries,
+ * deadlines, failpoints, the report and the checkpoint file. The typed
+ * layer supplies the task invocation and, for checkpointable payloads,
+ * the text form a checkpoint record carries.
  */
-class BatchRunner {
+class RunnerCore {
   public:
-    BatchRunner(std::vector<TaskSpec> manifest, TaskFn fn,
-                RunnerOptions options);
+    /** Per-task results in manifest order (valid after run()). */
+    const std::vector<TaskResult>& results() const { return results_; }
+
+    /** The report of the last run(). */
+    const RunReport& report() const { return report_; }
+
+  protected:
+    RunnerCore(std::vector<TaskSpec> manifest, RunnerOptions options);
+    virtual ~RunnerCore() = default;
+
+    size_t taskCount() const { return manifest_.size(); }
 
     /**
      * Execute the campaign. Infrastructure failures (unreadable or
@@ -176,25 +188,108 @@ class BatchRunner {
      * terminal failure, plus W-RUNNER-RETRY / W-RUNNER-CKPT /
      * N-RUNNER-RESUME summaries.
      */
-    Result<RunReport> run(DiagnosticEngine* diags = nullptr);
+    Result<RunReport> runTasks(DiagnosticEngine* diags);
 
-    /** Per-task results in manifest order (valid after run()). */
-    const std::vector<TaskResult>& results() const { return results_; }
-
-    /** The report of the last run(). */
-    const RunReport& report() const { return report_; }
+    /** Run the task function once; keep its payload on success. */
+    virtual Status invokeTask(const TaskContext& context) = 0;
+    /** Forget the payload of a task whose result came too late. */
+    virtual void dropPayload(long long index) = 0;
+    /** True when payloads have a checkpoint text form. */
+    virtual bool checkpointable() const = 0;
+    /** Checkpoint text of an ok task's payload. */
+    virtual std::string encodePayload(long long index) const = 0;
+    /** Restore a payload from its checkpoint text (E-CKPT-PAYLOAD). */
+    virtual Status restorePayload(long long index,
+                                  const std::string& text) = 0;
 
   private:
     TaskResult executeTask(long long index,
                            WorkerPool::JobContext& job);
-    Result<std::string> invokeOnce(const TaskContext& context);
+    Status invokeOnce(const TaskContext& context);
     bool stopRequested() const;
 
     std::vector<TaskSpec> manifest_;
-    TaskFn fn_;
     RunnerOptions options_;
     std::vector<TaskResult> results_;
     RunReport report_;
+};
+
+/**
+ * The batch engine. Construct with a manifest, a task function and
+ * options; run() executes the campaign and returns the report. Results
+ * and payloads are available per task, in manifest order, afterwards.
+ *
+ * Payloads stay typed in memory. They become text (PayloadCodec<P>)
+ * only when a checkpoint record is written, and are read back from
+ * text only on resume; a payload type without a codec runs without a
+ * checkpoint (E-CKPT-UNSUPPORTED when one is configured).
+ */
+template <typename P>
+class BatchRunner : public RunnerCore {
+  public:
+    BatchRunner(std::vector<TaskSpec> manifest, TaskFn<P> fn,
+                RunnerOptions options)
+        : RunnerCore(std::move(manifest), std::move(options)),
+          fn_(std::move(fn))
+    {
+    }
+
+    /** See RunnerCore::runTasks(). */
+    Result<RunReport> run(DiagnosticEngine* diags = nullptr)
+    {
+        payloads_.assign(taskCount(), P{});
+        return runTasks(diags);
+    }
+
+    /** Per-task payloads in manifest order; meaningful where
+     *  results()[i].ok() (valid after run()). */
+    const std::vector<P>& payloads() const { return payloads_; }
+
+  private:
+    Status invokeTask(const TaskContext& context) override
+    {
+        Result<P> result = fn_(context);
+        if (!result.ok())
+            return result.error();
+        payloads_[static_cast<size_t>(context.index)] =
+            std::move(result).value();
+        return Status::okStatus();
+    }
+
+    void dropPayload(long long index) override
+    {
+        payloads_[static_cast<size_t>(index)] = P{};
+    }
+
+    bool checkpointable() const override
+    {
+        return CheckpointablePayload<P>;
+    }
+
+    std::string encodePayload(long long index) const override
+    {
+        if constexpr (CheckpointablePayload<P>)
+            return PayloadCodec<P>::encode(
+                payloads_[static_cast<size_t>(index)]);
+        else
+            return std::string();
+    }
+
+    Status restorePayload(long long index,
+                          const std::string& text) override
+    {
+        if constexpr (CheckpointablePayload<P>) {
+            Result<P> decoded = PayloadCodec<P>::decode(text);
+            if (!decoded.ok())
+                return decoded.error();
+            payloads_[static_cast<size_t>(index)] =
+                std::move(decoded).value();
+        }
+        return Status::okStatus();
+    }
+
+    TaskFn<P> fn_;
+    std::vector<P> payloads_;
 };
 
 /** Effective worker count for a --jobs value (0 = auto). */

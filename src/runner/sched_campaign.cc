@@ -4,7 +4,6 @@
 
 #include "core/model.h"
 #include "protocol/trace_stream.h"
-#include "runner/campaign.h"
 #include "util/numerics.h"
 #include "util/strings.h"
 
@@ -89,27 +88,22 @@ evaluateCell(const DramPowerModel& model, const DramDescription& desc,
 
 } // namespace
 
-std::string
+std::vector<double>
 encodeSchedCell(const SchedMatrixCell& cell)
 {
-    return encodeDoublePayload(
-        {static_cast<double>(cell.stats.accesses),
-         static_cast<double>(cell.stats.rowHits),
-         static_cast<double>(cell.stats.rowMisses),
-         static_cast<double>(cell.stats.rowConflicts),
-         static_cast<double>(cell.stats.reordered),
-         static_cast<double>(cell.stats.cycles),
-         static_cast<double>(cell.violations), cell.power,
-         cell.energyPerBit});
+    return {static_cast<double>(cell.stats.accesses),
+            static_cast<double>(cell.stats.rowHits),
+            static_cast<double>(cell.stats.rowMisses),
+            static_cast<double>(cell.stats.rowConflicts),
+            static_cast<double>(cell.stats.reordered),
+            static_cast<double>(cell.stats.cycles),
+            static_cast<double>(cell.violations), cell.power,
+            cell.energyPerBit};
 }
 
 Result<SchedMatrixCell>
-decodeSchedCell(const std::string& payload)
+decodeSchedCell(const std::vector<double>& v)
 {
-    Result<std::vector<double>> values = decodeDoublePayload(payload);
-    if (!values.ok())
-        return values.error();
-    const std::vector<double>& v = values.value();
     if (v.size() != 9) {
         return Error{strformat("scheduler cell payload has %zu fields "
                                "(expected 9)",
@@ -159,9 +153,9 @@ runSchedMatrixCampaign(const DramDescription& desc,
                                     deriveStreamSeed(0x5C4ED, i)});
     }
 
-    BatchRunner runner(
+    BatchRunner<std::vector<double>> runner(
         std::move(manifest),
-        [&](const TaskContext& context) -> Result<std::string> {
+        [&](const TaskContext& context) -> Result<std::vector<double>> {
             const CellAxes& cell_axes =
                 axes[static_cast<size_t>(context.index)];
             Result<SchedMatrixCell> cell =
@@ -189,7 +183,7 @@ runSchedMatrixCampaign(const DramDescription& desc,
         const TaskResult& task = runner.results()[i];
         if (task.ok()) {
             Result<SchedMatrixCell> decoded =
-                decodeSchedCell(task.payload);
+                decodeSchedCell(runner.payloads()[i]);
             if (!decoded.ok())
                 return decoded.error();
             cell.stats = decoded.value().stats;

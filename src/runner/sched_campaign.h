@@ -62,9 +62,11 @@ struct SchedMatrixCampaign {
     RunReport report;
 };
 
-/** Payload codec (exposed for checkpoint-compatibility tests). */
-std::string encodeSchedCell(const SchedMatrixCell& cell);
-Result<SchedMatrixCell> decodeSchedCell(const std::string& payload);
+/** A cell as the runner payload: its nine numbers, in the order the
+ *  checkpoint text has carried them (exposed for tests). */
+std::vector<double> encodeSchedCell(const SchedMatrixCell& cell);
+/** Inverse of encodeSchedCell(); any other width is E-CKPT-PAYLOAD. */
+Result<SchedMatrixCell> decodeSchedCell(const std::vector<double>& values);
 
 /**
  * Run the matrix. An empty axis is an E-SCHED-MATRIX error;

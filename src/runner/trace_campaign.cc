@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
-#include <sstream>
 #include <stdexcept>
 
 #include <fstream>
@@ -183,50 +182,6 @@ countSlice(const std::string& path, long long begin, long long end,
 
 } // namespace
 
-std::string
-serializeSliceCounts(const TraceSliceCounts& counts)
-{
-    std::ostringstream out;
-    out << counts.firstCycle << ' ' << counts.lastCycle << ' '
-        << counts.commands;
-    for (int i = 0; i < kOpCount; ++i)
-        out << ' ' << counts.total.n[static_cast<size_t>(i)];
-    out << ' ' << counts.windows.size();
-    for (const WindowCounts& w : counts.windows) {
-        out << ' ' << w.index;
-        for (int i = 0; i < kOpCount; ++i)
-            out << ' ' << w.ops.n[static_cast<size_t>(i)];
-    }
-    return out.str();
-}
-
-Result<TraceSliceCounts>
-parseSliceCounts(const std::string& payload)
-{
-    std::istringstream in(payload);
-    TraceSliceCounts counts;
-    size_t window_count = 0;
-    in >> counts.firstCycle >> counts.lastCycle >> counts.commands;
-    for (int i = 0; i < kOpCount; ++i)
-        in >> counts.total.n[static_cast<size_t>(i)];
-    in >> window_count;
-    if (!in) {
-        return Error{"malformed trace slice payload", 0, 0, "",
-                     "E-TRACE-PAYLOAD"};
-    }
-    counts.windows.resize(window_count);
-    for (WindowCounts& w : counts.windows) {
-        in >> w.index;
-        for (int i = 0; i < kOpCount; ++i)
-            in >> w.ops.n[static_cast<size_t>(i)];
-    }
-    if (!in) {
-        return Error{"malformed trace slice payload", 0, 0, "",
-                     "E-TRACE-PAYLOAD"};
-    }
-    return counts;
-}
-
 Result<TraceCampaignResult>
 evaluateTraceFileParallel(const std::string& path,
                           const TraceCampaignOptions& options,
@@ -280,9 +235,9 @@ evaluateTraceFileParallel(const std::string& path,
 
     const long long window_cycles = options.windowCycles;
     const size_t chunk_bytes = options.chunkBytes;
-    TaskFn task = [&path, &bounds, window_cycles,
-                   chunk_bytes](const TaskContext& context)
-        -> Result<std::string> {
+    TaskFn<TraceSliceCounts> task = [&path, &bounds, window_cycles,
+                                     chunk_bytes](const TaskContext& context)
+        -> Result<TraceSliceCounts> {
         const size_t i = static_cast<size_t>(context.index);
         Result<TraceSliceCounts> counts =
             countSlice(path, bounds[i], bounds[i + 1], window_cycles,
@@ -293,10 +248,11 @@ evaluateTraceFileParallel(const std::string& path,
                 error.file = path;
             return error;
         }
-        return serializeSliceCounts(counts.value());
+        return counts;
     };
 
-    BatchRunner runner(std::move(manifest), task, runner_options);
+    BatchRunner<TraceSliceCounts> runner(std::move(manifest), task,
+                                         runner_options);
     Result<RunReport> report = runner.run(diags);
     if (!report.ok())
         return report.error();
@@ -305,8 +261,6 @@ evaluateTraceFileParallel(const std::string& path,
                      0, 0, path, "E-RUNNER-STOP"};
     }
 
-    std::vector<TraceSliceCounts> slices;
-    slices.reserve(runner.results().size());
     for (const TaskResult& result : runner.results()) {
         if (!result.ok()) {
             return Error{strformat("trace %s: %s",
@@ -314,14 +268,10 @@ evaluateTraceFileParallel(const std::string& path,
                                    result.error.c_str()),
                          0, 0, path, "E-TRACE-PARSE"};
         }
-        Result<TraceSliceCounts> counts = parseSliceCounts(result.payload);
-        if (!counts.ok())
-            return counts.error();
-        slices.push_back(std::move(counts).value());
     }
 
     Result<TraceStreamResult> merged =
-        mergeTraceSlices(slices, options.windowCycles);
+        mergeTraceSlices(runner.payloads(), options.windowCycles);
     if (!merged.ok()) {
         Error error = merged.error();
         if (error.file.empty())

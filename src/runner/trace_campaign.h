@@ -56,12 +56,6 @@ struct TraceCampaignResult {
     int slices = 0;
 };
 
-/** Serialize slice counts into a runner payload string. */
-std::string serializeSliceCounts(const TraceSliceCounts& counts);
-
-/** Parse a payload produced by serializeSliceCounts(). */
-Result<TraceSliceCounts> parseSliceCounts(const std::string& payload);
-
 /**
  * Evaluate a command-trace file by counting line-aligned byte slices
  * concurrently and merging the counts. Any slice failure (parse error,

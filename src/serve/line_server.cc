@@ -428,7 +428,8 @@ LineClient::readLine(double timeoutSeconds)
 }
 
 Result<std::string>
-LineClient::sendAllReadAll(const std::string& input)
+LineClient::sendAllReadAll(const std::string& input,
+                           double idleTimeoutSeconds)
 {
     std::string responses = std::move(buffer_);
     auto fail = [this](const char* what) -> Error {
@@ -436,15 +437,31 @@ LineClient::sendAllReadAll(const std::string& input)
         close();
         return error;
     };
+    Clock::time_point lastByte = Clock::now();
     size_t sent = 0;
     if (input.empty())
         ::shutdown(fd_, SHUT_WR);
     char chunk[4096];
     for (;;) {
+        int waitMs = -1;
+        if (idleTimeoutSeconds > 0) {
+            const double left =
+                idleTimeoutSeconds -
+                std::chrono::duration<double>(Clock::now() - lastByte)
+                    .count();
+            if (left <= 0) {
+                close();
+                return Error{strformat("no response byte for %.3g s "
+                                       "(idle deadline)",
+                                       idleTimeoutSeconds),
+                             0, 0, "", "E-SERVE-TIMEOUT"};
+            }
+            waitMs = static_cast<int>(std::min(left * 1000, 1e9)) + 1;
+        }
         pollfd pfd{fd_, POLLIN, 0};
         if (sent < input.size())
             pfd.events |= POLLOUT;
-        if (::poll(&pfd, 1, -1) < 0) {
+        if (::poll(&pfd, 1, waitMs) < 0) {
             if (errno == EINTR)
                 continue;
             return fail("socket poll failed: ");
@@ -455,6 +472,7 @@ LineClient::sendAllReadAll(const std::string& input)
                 break;
             if (got > 0) {
                 responses.append(chunk, static_cast<size_t>(got));
+                lastByte = Clock::now();
             } else if (errno != EINTR && errno != EAGAIN &&
                        errno != EWOULDBLOCK) {
                 return fail("response read failed: ");

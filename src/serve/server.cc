@@ -605,7 +605,7 @@ runServeServer(const ServeOptions& options)
 
 Result<std::string>
 serveSendLines(const std::string& socketPath, int port,
-               const std::string& input)
+               const std::string& input, double idleTimeoutSeconds)
 {
     LineClient client;
     Status connected = client.connect(socketPath, port);
@@ -614,7 +614,7 @@ serveSendLines(const std::string& socketPath, int port,
     std::string out = input;
     if (!out.empty() && out.back() != '\n')
         out += '\n';
-    return client.sendAllReadAll(out);
+    return client.sendAllReadAll(out, idleTimeoutSeconds);
 }
 
 Result<std::string>
@@ -650,7 +650,8 @@ serveSendLinesRetry(const ServeSendOptions& options,
             batch += '\n';
         }
         Result<std::string> sent =
-            serveSendLines(options.socketPath, options.port, batch);
+            serveSendLines(options.socketPath, options.port, batch,
+                           options.idleTimeoutSeconds);
         if (!sent.ok()) {
             // Only a refused connect is known-undelivered and safe to
             // retry wholesale; a mid-session failure is not replayed

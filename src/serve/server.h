@@ -94,10 +94,13 @@ Result<ServeStats> runServeServer(const ServeOptions& options);
  * Minimal client used by `vdram serve-send` and the tests: connect,
  * send @p input (newline-delimited requests; a missing trailing newline
  * is added) while reading responses, half-close after the last byte,
- * read every response until EOF. Returns the raw response bytes.
+ * read every response until EOF. Returns the raw response bytes. A
+ * positive @p idleTimeoutSeconds fails the exchange with
+ * E-SERVE-TIMEOUT once no byte has arrived for that long.
  */
 Result<std::string> serveSendLines(const std::string& socketPath,
-                                   int port, const std::string& input);
+                                   int port, const std::string& input,
+                                   double idleTimeoutSeconds = 0);
 
 /** serveSendLinesRetry knobs (CLI: --retries / --retry-base-ms). */
 struct ServeSendOptions {
@@ -107,6 +110,10 @@ struct ServeSendOptions {
     int retries = 3;
     /** Backoff base; grows exponentially with ±25% jitter. */
     double retryBaseSeconds = 0.05;
+    /** Idle deadline: the longest wait for the next response byte
+     *  (0 = none). Above the daemon's default 60 s deadline cap, so
+     *  only a peer that stopped answering trips it. */
+    double idleTimeoutSeconds = 120;
 };
 
 /**

@@ -51,7 +51,8 @@ struct Registry {
     // One slot per kFailpointNames entry; null when not activated.
     std::vector<std::shared_ptr<ActiveFailpoint>> slots{
         std::size(kFailpointNames)};
-    bool envLoaded = false;
+    /** Written under the mutex; read without it on the hot path. */
+    std::atomic<bool> envLoaded{false};
     Status envStatus = Status::okStatus();
 };
 
@@ -279,8 +280,12 @@ failpointHit(const char* name, std::uint64_t seed)
 {
     Registry& reg = registry();
     {
-        // First-use lazy env load; cheap once loaded.
+        // First-use lazy env load. Once the environment has been read
+        // and nothing is armed, a site costs two atomic loads and takes
+        // no lock (campaign workers evaluate sites on every task).
         if (!g_any_active.load(std::memory_order_acquire)) {
+            if (reg.envLoaded.load(std::memory_order_acquire))
+                return FailpointHit{};
             std::lock_guard<std::mutex> lock(reg.mutex);
             loadEnvLocked(reg);
             if (!g_any_active.load(std::memory_order_relaxed))

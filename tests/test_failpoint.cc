@@ -361,7 +361,7 @@ TEST(SiteMatrixTest, RunnerTaskErrorIsTransientAndRetried)
             TaskSpec{"task-" + std::to_string(i),
                      deriveStreamSeed(7, i)});
     }
-    BatchRunner runner(
+    BatchRunner<std::string> runner(
         manifest,
         [](const TaskContext& context) -> Result<std::string> {
             return "p" + std::to_string(context.index);

@@ -12,8 +12,10 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
@@ -27,6 +29,7 @@
 #include "core/montecarlo.h"
 #include "util/metrics.h"
 #include "util/numerics.h"
+#include "util/strings.h"
 
 namespace vdram {
 namespace {
@@ -287,7 +290,7 @@ TEST(CheckpointTest, ConsolidateIntoMissingDirectoryFails)
 
 TEST(BatchRunnerTest, AllOkInManifestOrder)
 {
-    BatchRunner runner(
+    BatchRunner<std::string> runner(
         simpleManifest(8),
         [](const TaskContext& context) -> Result<std::string> {
             return "p" + std::to_string(context.index);
@@ -300,7 +303,7 @@ TEST(BatchRunnerTest, AllOkInManifestOrder)
     EXPECT_TRUE(report.value().complete());
     for (int i = 0; i < 8; ++i) {
         EXPECT_EQ(runner.results()[i].index, i);
-        EXPECT_EQ(runner.results()[i].payload,
+        EXPECT_EQ(runner.payloads()[i],
                   "p" + std::to_string(i));
     }
 }
@@ -308,7 +311,7 @@ TEST(BatchRunnerTest, AllOkInManifestOrder)
 TEST(BatchRunnerTest, PermanentErrorQuarantinedWithoutRetry)
 {
     std::atomic<int> calls{0};
-    BatchRunner runner(
+    BatchRunner<std::string> runner(
         simpleManifest(3),
         [&calls](const TaskContext& context) -> Result<std::string> {
             calls.fetch_add(1);
@@ -338,7 +341,7 @@ TEST(BatchRunnerTest, TransientErrorRetriedThenFailed)
     RunnerOptions options;
     options.maxRetries = 2;
     options.backoffSeconds = 0.0001;
-    BatchRunner runner(
+    BatchRunner<std::string> runner(
         simpleManifest(1),
         [&calls](const TaskContext&) -> Result<std::string> {
             calls.fetch_add(1);
@@ -358,7 +361,7 @@ TEST(BatchRunnerTest, TransientErrorRecoversOnRetry)
     std::atomic<int> calls{0};
     RunnerOptions options;
     options.backoffSeconds = 0.0001;
-    BatchRunner runner(
+    BatchRunner<std::string> runner(
         simpleManifest(1),
         [&calls](const TaskContext& context) -> Result<std::string> {
             calls.fetch_add(1);
@@ -371,13 +374,13 @@ TEST(BatchRunnerTest, TransientErrorRecoversOnRetry)
     ASSERT_TRUE(report.ok());
     EXPECT_EQ(report.value().ok, 1);
     EXPECT_EQ(report.value().retried, 1);
-    EXPECT_EQ(runner.results()[0].payload, "recovered");
+    EXPECT_EQ(runner.payloads()[0], "recovered");
     EXPECT_EQ(runner.results()[0].attempts, 2);
 }
 
 TEST(BatchRunnerTest, ThrownExceptionIsQuarantined)
 {
-    BatchRunner runner(
+    BatchRunner<std::string> runner(
         simpleManifest(2),
         [](const TaskContext& context) -> Result<std::string> {
             if (context.index == 0)
@@ -408,7 +411,7 @@ TEST(BatchRunnerTest, DeadlineWatchdogCancelsSlowTask)
 {
     RunnerOptions options;
     options.taskTimeoutSeconds = 0.02;
-    BatchRunner runner(
+    BatchRunner<std::string> runner(
         simpleManifest(2),
         [](const TaskContext& context) -> Result<std::string> {
             if (context.index == 0) {
@@ -432,7 +435,7 @@ TEST(BatchRunnerTest, DeadlineWatchdogCancelsSlowTask)
     EXPECT_EQ(report.value().ok, 1);
     EXPECT_EQ(runner.results()[0].outcome, TaskOutcome::TimedOut);
     // The late result must have been discarded.
-    EXPECT_TRUE(runner.results()[0].payload.empty());
+    EXPECT_TRUE(runner.payloads()[0].empty());
 }
 
 TEST(BatchRunnerTest, StopFlagDrainsRemainingTasks)
@@ -440,7 +443,7 @@ TEST(BatchRunnerTest, StopFlagDrainsRemainingTasks)
     std::atomic<bool> stop{false};
     RunnerOptions options;
     options.stopFlag = &stop;
-    BatchRunner runner(
+    BatchRunner<std::string> runner(
         simpleManifest(10),
         [&stop](const TaskContext& context) -> Result<std::string> {
             if (context.index == 2)
@@ -464,7 +467,7 @@ TEST(BatchRunnerTest, FaultInjectionDeterministicSubset)
     options.faultPlan.rate = 0.4;
     options.maxRetries = 0;
     auto run_once = [&options]() {
-        BatchRunner runner(
+        BatchRunner<std::string> runner(
             simpleManifest(40),
             [](const TaskContext&) -> Result<std::string> {
                 return std::string("ok");
@@ -492,7 +495,7 @@ TEST(BatchRunnerTest, EffectiveJobCount)
 
 TEST(BatchRunnerTest, ReportRenderJsonHasCounters)
 {
-    BatchRunner runner(
+    BatchRunner<std::string> runner(
         simpleManifest(2),
         [](const TaskContext&) -> Result<std::string> { return std::string("x"); },
         {});
@@ -516,13 +519,13 @@ TEST(BatchRunnerTest, ResumeSkipsCompletedTasksByteIdentically)
     first_options.checkpointPath = path;
     std::atomic<bool> stop{false};
     first_options.stopFlag = &stop;
-    BatchRunner first(
+    BatchRunner<std::vector<double>> first(
         simpleManifest(12),
-        [&stop](const TaskContext& context) -> Result<std::string> {
+        [&stop](const TaskContext& context) -> Result<std::vector<double>> {
             if (context.index == 5)
                 stop.store(true);
-            return encodeDoublePayload(
-                {uniformDoubleOf(context.seed), double(context.index)});
+            return std::vector<double>{uniformDoubleOf(context.seed),
+                                       double(context.index)};
         },
         first_options);
     ASSERT_TRUE(first.run().ok());
@@ -535,13 +538,13 @@ TEST(BatchRunnerTest, ResumeSkipsCompletedTasksByteIdentically)
     resume_options.checkpointPath = path;
     resume_options.resume = true;
     std::atomic<int> fresh_calls{0};
-    BatchRunner second(
+    BatchRunner<std::vector<double>> second(
         simpleManifest(12),
         [&fresh_calls](const TaskContext& context)
-            -> Result<std::string> {
+            -> Result<std::vector<double>> {
             fresh_calls.fetch_add(1);
-            return encodeDoublePayload(
-                {uniformDoubleOf(context.seed), double(context.index)});
+            return std::vector<double>{uniformDoubleOf(context.seed),
+                                       double(context.index)};
         },
         resume_options);
     DiagnosticEngine diags;
@@ -551,17 +554,17 @@ TEST(BatchRunnerTest, ResumeSkipsCompletedTasksByteIdentically)
     EXPECT_TRUE(second.report().complete());
 
     // Reference: one uninterrupted serial run.
-    BatchRunner reference(
+    BatchRunner<std::vector<double>> reference(
         simpleManifest(12),
-        [](const TaskContext& context) -> Result<std::string> {
-            return encodeDoublePayload(
-                {uniformDoubleOf(context.seed), double(context.index)});
+        [](const TaskContext& context) -> Result<std::vector<double>> {
+            return std::vector<double>{uniformDoubleOf(context.seed),
+                                       double(context.index)};
         },
         {});
     ASSERT_TRUE(reference.run().ok());
     for (int i = 0; i < 12; ++i) {
-        EXPECT_EQ(second.results()[i].payload,
-                  reference.results()[i].payload)
+        EXPECT_TRUE(samePayload(second.payloads()[i],
+                                reference.payloads()[i]))
             << "task " << i << " payload changed across resume";
     }
     std::remove(path.c_str());
@@ -575,7 +578,7 @@ TEST(BatchRunnerTest, ResumeReexecutesFailedTasks)
     RunnerOptions options;
     options.checkpointPath = path;
     options.maxRetries = 0;
-    BatchRunner first(
+    BatchRunner<std::string> first(
         simpleManifest(4),
         [](const TaskContext& context) -> Result<std::string> {
             if (context.index == 2)
@@ -587,7 +590,7 @@ TEST(BatchRunnerTest, ResumeReexecutesFailedTasks)
     EXPECT_EQ(first.report().quarantined, 1);
 
     options.resume = true;
-    BatchRunner second(
+    BatchRunner<std::string> second(
         simpleManifest(4),
         [](const TaskContext&) -> Result<std::string> {
             return std::string("fixed");
@@ -597,7 +600,7 @@ TEST(BatchRunnerTest, ResumeReexecutesFailedTasks)
     // Only the previously-failed task runs again.
     EXPECT_EQ(second.report().skippedResume, 3);
     EXPECT_EQ(second.report().ok, 1);
-    EXPECT_EQ(second.results()[2].payload, "fixed");
+    EXPECT_EQ(second.payloads()[2], "fixed");
     std::remove(path.c_str());
 }
 
@@ -610,18 +613,15 @@ TEST(BatchRunnerTest, ParallelRunMatchesSerial)
     auto payloads = [](int jobs) {
         RunnerOptions options;
         options.jobs = jobs;
-        BatchRunner runner(
+        BatchRunner<std::vector<double>> runner(
             simpleManifest(64),
-            [](const TaskContext& context) -> Result<std::string> {
-                return encodeDoublePayload(
-                    {uniformDoubleOf(splitmix64(context.seed))});
+            [](const TaskContext& context) -> Result<std::vector<double>> {
+                return std::vector<double>{
+                    uniformDoubleOf(splitmix64(context.seed))};
             },
             options);
         EXPECT_TRUE(runner.run().ok());
-        std::vector<std::string> result;
-        for (const TaskResult& r : runner.results())
-            result.push_back(r.payload);
-        return result;
+        return runner.payloads();
     };
     EXPECT_EQ(payloads(1), payloads(4));
     EXPECT_EQ(payloads(1), payloads(0)); // 0 = hardware concurrency
@@ -740,6 +740,23 @@ TEST(FastPathContractTest, VerifyFlagsDifferentOutcomes)
     EXPECT_EQ(ok_vs_error.error().code, "E-FASTPATH-MISMATCH");
 }
 
+TEST(FastPathContractTest, VerifyComparesDoublesBitForBit)
+{
+    // -0.0 == +0.0 numerically, but the checkpoint text ("-0" vs "0")
+    // tells them apart; the typed comparison must too.
+    using Values = Result<std::vector<double>>;
+    Result<std::vector<double>> r = evaluateFastOrSlow(
+        FastPathMode::Verify, 3, [] { return Values(std::vector{-0.0}); },
+        [] { return Values(std::vector{0.0}); });
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.error().code, "E-FASTPATH-MISMATCH");
+
+    Result<std::vector<double>> same = evaluateFastOrSlow(
+        FastPathMode::Verify, 3, [] { return Values(std::vector{-0.0}); },
+        [] { return Values(std::vector{-0.0}); });
+    EXPECT_TRUE(same.ok());
+}
+
 TEST(CampaignTest, FaultInjectedCampaignStillAggregates)
 {
     DramDescription nominal = preset1GbDdr3(55e-9, 16, 1333);
@@ -797,13 +814,13 @@ sidecarTaskCounters(const std::string& checkpoint_path)
  *  FaultPlan (whose faults repeat on every attempt, so a failed record
  *  fails again when resume re-executes it), this converges — exactly
  *  what the cumulative-counter identity needs. */
-Result<std::string>
+Result<std::vector<double>>
 firstAttemptFlakyTask(const TaskContext& context)
 {
     if (context.index % 3 == 0 && context.attempt == 1)
         return Error{"flaky once", 0, 0, "", "T-TEST-FLAKY"};
-    return encodeDoublePayload(
-        {uniformDoubleOf(context.seed), double(context.index)});
+    return std::vector<double>{uniformDoubleOf(context.seed),
+                               double(context.index)};
 }
 
 } // namespace
@@ -826,8 +843,8 @@ TEST(BatchRunnerTest, ResumedCampaignMetricsMatchUninterruptedRun)
     // Uninterrupted reference campaign.
     RunnerOptions reference_options = common;
     reference_options.checkpointPath = reference_path;
-    BatchRunner reference(simpleManifest(12), firstAttemptFlakyTask,
-                          reference_options);
+    BatchRunner<std::vector<double>> reference(
+        simpleManifest(12), firstAttemptFlakyTask, reference_options);
     ASSERT_TRUE(reference.run().ok());
     ASSERT_TRUE(reference.report().complete());
     ASSERT_GT(reference.report().retried, 0);
@@ -838,9 +855,9 @@ TEST(BatchRunnerTest, ResumedCampaignMetricsMatchUninterruptedRun)
     first_options.checkpointPath = interrupted_path;
     std::atomic<bool> stop{false};
     first_options.stopFlag = &stop;
-    BatchRunner first(
+    BatchRunner<std::vector<double>> first(
         simpleManifest(12),
-        [&stop](const TaskContext& context) -> Result<std::string> {
+        [&stop](const TaskContext& context) -> Result<std::vector<double>> {
             if (context.index == 5)
                 stop.store(true);
             return firstAttemptFlakyTask(context);
@@ -854,8 +871,8 @@ TEST(BatchRunnerTest, ResumedCampaignMetricsMatchUninterruptedRun)
     RunnerOptions resume_options = common;
     resume_options.checkpointPath = interrupted_path;
     resume_options.resume = true;
-    BatchRunner second(simpleManifest(12), firstAttemptFlakyTask,
-                       resume_options);
+    BatchRunner<std::vector<double>> second(
+        simpleManifest(12), firstAttemptFlakyTask, resume_options);
     ASSERT_TRUE(second.run().ok());
     ASSERT_TRUE(second.report().complete());
     EXPECT_EQ(second.report().skippedResume, first.report().ok);
@@ -874,15 +891,121 @@ TEST(BatchRunnerTest, ResumedCampaignMetricsMatchUninterruptedRun)
 
 TEST(CampaignTest, DoublePayloadRoundTripsBitExactly)
 {
-    std::vector<double> values = {0.1, -1.5e300, 3.0,
-                                  0.12345678901234567, -0.0};
-    Result<std::vector<double>> back =
-        decodeDoublePayload(encodeDoublePayload(values));
-    ASSERT_TRUE(back.ok());
+    // The checkpoint text is the historical strformat("%.17g") join,
+    // byte for byte, and decodes back to the same bits.
+    std::vector<double> values = {
+        0.0,
+        -0.0,
+        std::numeric_limits<double>::denorm_min(),
+        -std::numeric_limits<double>::denorm_min(),
+        std::numeric_limits<double>::min(),
+        std::numeric_limits<double>::max(),
+        -std::numeric_limits<double>::max(),
+        0.1,
+        1.0 / 3.0,
+        9007199254740992.0, // 2^53
+        -9007199254740994.0,
+        1e21,
+        123456.5,
+        -1.5e300,
+        0.12345678901234567,
+        3.0,
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(),
+    };
+    // Sampled IDDs: the values a Monte-Carlo checkpoint carries.
+    DramDescription nominal = preset1GbDdr3(55e-9, 16, 1333);
+    const std::vector<IddMeasure> measures = {
+        IddMeasure::Idd0, IddMeasure::Idd2N, IddMeasure::Idd4R,
+        IddMeasure::Idd4W, IddMeasure::Idd5};
+    for (int s = 0; s < 8; ++s) {
+        Result<std::vector<double>> sample = evaluateMonteCarloSample(
+            nominal, {}, measures, monteCarloSampleSeed(11, s));
+        if (sample.ok()) {
+            values.insert(values.end(), sample.value().begin(),
+                          sample.value().end());
+        }
+    }
+    ASSERT_GT(values.size(), 30u);
+
+    std::vector<std::string> printed;
+    for (double v : values)
+        printed.push_back(strformat("%.17g", v));
+    const std::string text = encodeDoublePayload(values);
+    EXPECT_EQ(text, join(printed, " "));
+
+    Result<std::vector<double>> back = decodeDoublePayload(text);
+    ASSERT_TRUE(back.ok()) << back.error().toString();
     ASSERT_EQ(back.value().size(), values.size());
-    for (size_t i = 0; i < values.size(); ++i)
-        EXPECT_EQ(back.value()[i], values[i]);
-    EXPECT_FALSE(decodeDoublePayload("1.5 bogus").ok());
+    EXPECT_EQ(std::memcmp(back.value().data(), values.data(),
+                          values.size() * sizeof(double)),
+              0);
+
+    EXPECT_TRUE(encodeDoublePayload({}).empty());
+    ASSERT_TRUE(decodeDoublePayload("  \t").ok());
+    EXPECT_TRUE(decodeDoublePayload("  \t").value().empty());
+    Result<std::vector<double>> bogus = decodeDoublePayload("1.5 bogus");
+    ASSERT_FALSE(bogus.ok());
+    EXPECT_EQ(bogus.error().code, "E-CKPT-PAYLOAD");
+    // Forms the %.17g writer never emits are rejected.
+    EXPECT_FALSE(decodeDoublePayload("+1").ok());
+    EXPECT_FALSE(decodeDoublePayload("0x1p3").ok());
+    EXPECT_FALSE(decodeDoublePayload("1e999").ok());
+}
+
+TEST(BatchRunnerTest, CorruptResumedPayloadFailsUpFront)
+{
+    const std::string path = tempPath("corrupt_payload.jsonl");
+    TaskRecord record;
+    record.task = 1;
+    record.name = "task-1";
+    record.status = "ok";
+    record.payload = "0.5 not-a-number";
+    ASSERT_TRUE(consolidateCheckpoint(path, {record}).ok());
+
+    RunnerOptions options;
+    options.checkpointPath = path;
+    options.resume = true;
+    std::atomic<int> calls{0};
+    BatchRunner<std::vector<double>> runner(
+        simpleManifest(3),
+        [&calls](const TaskContext&) -> Result<std::vector<double>> {
+            calls.fetch_add(1);
+            return std::vector<double>{1.0};
+        },
+        options);
+    Result<RunReport> report = runner.run();
+    ASSERT_FALSE(report.ok());
+    EXPECT_EQ(report.error().code, "E-CKPT-PAYLOAD");
+    EXPECT_EQ(calls.load(), 0);
+    std::remove(path.c_str());
+}
+
+TEST(BatchRunnerTest, PayloadWithoutCodecRefusesCheckpoint)
+{
+    struct InMemoryOnly {
+        int value = 0;
+    };
+    RunnerOptions options;
+    options.checkpointPath = tempPath("no_codec.jsonl");
+    BatchRunner<InMemoryOnly> runner(
+        simpleManifest(2),
+        [](const TaskContext& context) -> Result<InMemoryOnly> {
+            return InMemoryOnly{static_cast<int>(context.index)};
+        },
+        options);
+    Result<RunReport> refused = runner.run();
+    ASSERT_FALSE(refused.ok());
+    EXPECT_EQ(refused.error().code, "E-CKPT-UNSUPPORTED");
+
+    BatchRunner<InMemoryOnly> plain(
+        simpleManifest(2),
+        [](const TaskContext& context) -> Result<InMemoryOnly> {
+            return InMemoryOnly{static_cast<int>(context.index) + 10};
+        },
+        {});
+    ASSERT_TRUE(plain.run().ok());
+    EXPECT_EQ(plain.payloads()[1].value, 11);
 }
 
 } // namespace

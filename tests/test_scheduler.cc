@@ -267,7 +267,7 @@ TEST(SchedCampaignTest, CellPayloadRoundTrips)
     EXPECT_EQ(decoded.value().power, cell.power);
     EXPECT_EQ(decoded.value().energyPerBit, cell.energyPerBit);
 
-    EXPECT_FALSE(decodeSchedCell("1 2 3").ok());
+    EXPECT_FALSE(decodeSchedCell({1, 2, 3}).ok());
 }
 
 TEST(SchedCampaignTest, MatrixEvaluatesEveryCellClean)

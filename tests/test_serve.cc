@@ -13,6 +13,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -20,6 +21,7 @@
 
 #include <sys/socket.h>
 #include <sys/un.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "core/sensitivity.h"
@@ -558,6 +560,102 @@ TEST(ServeDaemonTest, IdleSessionIsEvicted)
     ServeStats stats = daemon.stopAndJoin();
     EXPECT_GE(stats.idleEvicted, 1);
 }
+
+// ---------------------------------------------------------------------
+// serve-send idle deadline
+// ---------------------------------------------------------------------
+
+/** A unix-socket peer that accepts connections and never writes: the
+ *  client must give up on its own. Holds every accepted connection
+ *  open until destruction. */
+class SilentListener {
+  public:
+    explicit SilentListener(const std::string& path) : path_(path)
+    {
+        std::remove(path_.c_str());
+        fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
+        sockaddr_un addr{};
+        addr.sun_family = AF_UNIX;
+        std::strncpy(addr.sun_path, path_.c_str(),
+                     sizeof(addr.sun_path) - 1);
+        ok_ = fd_ >= 0 &&
+              ::bind(fd_, reinterpret_cast<sockaddr*>(&addr),
+                     sizeof(addr)) == 0 &&
+              ::listen(fd_, 4) == 0;
+        if (ok_) {
+            thread_ = std::thread([this] {
+                for (;;) {
+                    const int peer = ::accept(fd_, nullptr, nullptr);
+                    if (peer < 0)
+                        return; // listener shut down
+                    peers_.push_back(peer);
+                }
+            });
+        }
+    }
+
+    ~SilentListener()
+    {
+        ::shutdown(fd_, SHUT_RDWR);
+        ::close(fd_);
+        if (thread_.joinable())
+            thread_.join();
+        for (int peer : peers_)
+            ::close(peer);
+        std::remove(path_.c_str());
+    }
+
+    bool ok() const { return ok_; }
+
+  private:
+    std::string path_;
+    int fd_ = -1;
+    bool ok_ = false;
+    std::thread thread_;
+    std::vector<int> peers_;
+};
+
+TEST(ServeSendTest, SilentPeerTimesOutWithinTheIdleDeadline)
+{
+    const std::string path = socketPath("silent");
+    SilentListener listener(path);
+    ASSERT_TRUE(listener.ok());
+
+    ServeSendOptions options;
+    options.socketPath = path;
+    options.idleTimeoutSeconds = 0.2;
+    const auto start = std::chrono::steady_clock::now();
+    Result<std::string> sent =
+        serveSendLinesRetry(options, "{\"id\":1,\"op\":\"ping\"}\n");
+    const double seconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+    ASSERT_FALSE(sent.ok());
+    EXPECT_EQ(sent.error().code, "E-SERVE-TIMEOUT");
+    EXPECT_GE(seconds, 0.2);
+    EXPECT_LT(seconds, 5.0);
+}
+
+#if defined(VDRAM_CLI_PATH)
+TEST(ServeSendTest, CliExitsSevenOnASilentPeer)
+{
+    const std::string path = socketPath("silent_cli");
+    SilentListener listener(path);
+    ASSERT_TRUE(listener.ok());
+    const std::string command =
+        std::string("echo '{\"id\":1,\"op\":\"ping\"}' | ") +
+        VDRAM_CLI_PATH + " serve-send --socket=" + path +
+        " --timeout=0.2 2>/dev/null >/dev/null";
+    const auto start = std::chrono::steady_clock::now();
+    const int status = std::system(command.c_str());
+    const double seconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 7);
+    EXPECT_LT(seconds, 5.0);
+}
+#endif
 
 } // namespace
 } // namespace vdram

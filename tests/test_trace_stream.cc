@@ -571,32 +571,5 @@ TEST(TraceStreamTest, RejectsAbsurdWindowCounts)
     EXPECT_EQ(r.error().code, "E-TRACE-WINDOW");
 }
 
-TEST(TraceStreamTest, SlicePayloadRoundTrip)
-{
-    TraceCounter counter(16);
-    ASSERT_TRUE(counter.feed(3, Op::Act).ok());
-    ASSERT_TRUE(counter.feed(17, Op::Rd).ok());
-    ASSERT_TRUE(counter.feed(40, Op::Pre).ok());
-    const TraceSliceCounts counts = counter.counts();
-    Result<TraceSliceCounts> back =
-        parseSliceCounts(serializeSliceCounts(counts));
-    ASSERT_TRUE(back.ok()) << back.error().toString();
-    EXPECT_EQ(back.value().firstCycle, counts.firstCycle);
-    EXPECT_EQ(back.value().lastCycle, counts.lastCycle);
-    EXPECT_EQ(back.value().commands, counts.commands);
-    ASSERT_EQ(back.value().windows.size(), counts.windows.size());
-    for (size_t i = 0; i < counts.windows.size(); ++i) {
-        EXPECT_EQ(back.value().windows[i].index,
-                  counts.windows[i].index);
-        for (int o = 0; o < kOpCount; ++o) {
-            EXPECT_EQ(back.value().windows[i].ops.n[
-                          static_cast<size_t>(o)],
-                      counts.windows[i].ops.n[static_cast<size_t>(o)]);
-        }
-    }
-    EXPECT_FALSE(parseSliceCounts("garbage").ok());
-    EXPECT_FALSE(parseSliceCounts("").ok());
-}
-
 } // namespace
 } // namespace vdram

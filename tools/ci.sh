@@ -224,7 +224,11 @@ cli=$(pwd)/build/tools/vdram_cli
 )
 
 echo "== runner throughput benchmark =="
-(cd build && ./bench/bench_runner_throughput)
+# Parallel aggregate must stay bit-identical to serial; --jobs=4 must
+# reach 2x serial, or stay within 20 % of the recorded miss
+# (bench/BENCH_runner_baseline.json, see docs/performance.md).
+(cd build && ./bench/bench_runner_throughput \
+    --baseline=../bench/BENCH_runner_baseline.json)
 test -s build/BENCH_runner.json
 
 echo "== model fast-path throughput gate =="

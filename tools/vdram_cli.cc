@@ -92,6 +92,8 @@ constexpr int kExitPartial = 5;
 /** An input or checkpoint file could not be opened or read (distinct
  *  from 3/4: the file is unreadable, not wrong). */
 constexpr int kExitIo = 6;
+/** `serve-send` gave up: the daemon sent no byte within --timeout. */
+constexpr int kExitTimeout = 7;
 
 /**
  * Map a diagnostic code onto the documented exit codes, so scripts can
@@ -266,13 +268,16 @@ printUsage(std::FILE* out)
         "                            --deadline=S, --max-deadline=S,\n"
         "                            --idle-timeout=S, --cache=N\n"
         "  serve-send [--socket=PATH|--port=N] [--retries=N]\n"
-        "             [--retry-base-ms=MS]\n"
+        "             [--retry-base-ms=MS] [--timeout=S]\n"
         "                            send stdin lines to a serve daemon\n"
         "                            and print the responses; retries\n"
         "                            refused connects and shed\n"
         "                            (E-SERVE-OVERLOAD) lines with\n"
         "                            jittered exponential backoff\n"
-        "                            (default 3 retries, 50 ms base)\n"
+        "                            (default 3 retries, 50 ms base);\n"
+        "                            exit 7 when no response byte\n"
+        "                            arrives for S s (default 120,\n"
+        "                            0 = wait for ever)\n"
         "  fleet [--socket=PATH|--port=N] [--workers=N]\n"
         "        [--worker-dir=DIR] [--heartbeat=S]\n"
         "        [--heartbeat-deadline=S] [--restart-budget=N]\n"
@@ -960,9 +965,9 @@ cmdSweep(const DramDescription& desc, CampaignFlags flags,
         return "not evaluable: " + error.toString() + "\t-\t-\t-";
     };
 
-    BatchRunner runner(
+    BatchRunner<std::string> runner(
         std::move(manifest),
-        [&](const TaskContext& context) -> Result<std::string> {
+        [&](const TaskContext& context) {
             const double factor = factors[context.index];
             return evaluateFastOrSlow(
                 fast_path, context.index,
@@ -997,7 +1002,8 @@ cmdSweep(const DramDescription& desc, CampaignFlags flags,
         std::vector<std::string> row = {
             strformat("%.3g", factors[task.index])};
         if (task.ok()) {
-            for (const std::string& cell : splitChar(task.payload, '\t'))
+            for (const std::string& cell :
+                 splitChar(runner.payloads()[task.index], '\t'))
                 row.push_back(cell);
         } else if (task.outcome == TaskOutcome::NotRun) {
             row.insert(row.end(), {"(not run)", "-", "-", "-"});
@@ -1913,6 +1919,19 @@ cmdServeSend(int argc, char** argv)
             }
             options.retryBaseSeconds =
                 static_cast<double>(base) / 1000.0;
+        } else if (startsWith(arg, "--timeout=")) {
+            const std::string value = arg.substr(10);
+            char* end = nullptr;
+            const double seconds = std::strtod(value.c_str(), &end);
+            if (value.empty() || *end != '\0' || !(seconds >= 0) ||
+                seconds > 86400) {
+                std::fprintf(stderr,
+                             "--timeout must be in [0, 86400] seconds, "
+                             "got '%s'\n",
+                             value.c_str());
+                return kExitUsage;
+            }
+            options.idleTimeoutSeconds = seconds;
         } else {
             std::fprintf(stderr,
                          "unknown argument '%s' for serve-send\n",
@@ -1940,7 +1959,8 @@ cmdServeSend(int argc, char** argv)
     if (!responses.ok()) {
         std::fprintf(stderr, "%s\n",
                      responses.error().toString().c_str());
-        return kExitRuntime;
+        return responses.error().code == "E-SERVE-TIMEOUT" ? kExitTimeout
+                                                           : kExitRuntime;
     }
     std::fputs(responses.value().c_str(), stdout);
     return kExitOk;
@@ -2013,7 +2033,8 @@ commandOwnsFlag(const std::string& command, const std::string& arg)
         return startsWith(arg, "--socket=") ||
                startsWith(arg, "--port=") ||
                startsWith(arg, "--retries=") ||
-               startsWith(arg, "--retry-base-ms=");
+               startsWith(arg, "--retry-base-ms=") ||
+               startsWith(arg, "--timeout=");
     }
     if (command == "fleet") {
         return startsWith(arg, "--socket=") ||
