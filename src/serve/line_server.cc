@@ -443,21 +443,17 @@ LineClient::sendAllReadAll(const std::string& input,
         ::shutdown(fd_, SHUT_WR);
     char chunk[4096];
     for (;;) {
-        int waitMs = -1;
-        if (idleTimeoutSeconds > 0) {
-            const double left =
-                idleTimeoutSeconds -
-                std::chrono::duration<double>(Clock::now() - lastByte)
-                    .count();
-            if (left <= 0) {
-                close();
-                return Error{strformat("no response byte for %.3g s "
-                                       "(idle deadline)",
-                                       idleTimeoutSeconds),
-                             0, 0, "", "E-SERVE-TIMEOUT"};
-            }
-            waitMs = static_cast<int>(std::min(left * 1000, 1e9)) + 1;
+        const double left =
+            idleTimeoutSeconds -
+            std::chrono::duration<double>(Clock::now() - lastByte).count();
+        if (left <= 0) {
+            close();
+            return Error{strformat("no response byte for %.3g s "
+                                   "(idle deadline)",
+                                   idleTimeoutSeconds),
+                         0, 0, "", "E-SERVE-TIMEOUT"};
         }
+        const int waitMs = static_cast<int>(std::min(left * 1000, 1e9)) + 1;
         pollfd pfd{fd_, POLLIN, 0};
         if (sent < input.size())
             pfd.events |= POLLOUT;

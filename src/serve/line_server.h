@@ -121,11 +121,11 @@ class LineClient {
      * writes until it closes. Writes interleave with reads: the daemon
      * answers while the batch is still arriving, so writing all of a
      * large batch first would fill both socket buffers and deadlock.
-     * A positive @p idleTimeoutSeconds bounds the time since the last
-     * byte received (E-SERVE-TIMEOUT when it passes); 0 waits for ever.
+     * @p idleTimeoutSeconds (> 0) bounds the time since the last byte
+     * received; E-SERVE-TIMEOUT when it passes.
      */
     Result<std::string> sendAllReadAll(const std::string& input,
-                                       double idleTimeoutSeconds = 0);
+                                       double idleTimeoutSeconds);
 
   private:
     void close();

@@ -91,18 +91,26 @@ struct ServeStats {
 Result<ServeStats> runServeServer(const ServeOptions& options);
 
 /**
+ * Default idle deadline of a `serve-send` exchange: the longest wait
+ * for the next response byte. Above the daemon's default 60 s request
+ * deadline cap, so only a peer that stopped answering trips it.
+ */
+constexpr double kServeSendIdleTimeoutSeconds = 120;
+
+/**
  * Minimal client used by `vdram serve-send` and the tests: connect,
  * send @p input (newline-delimited requests; a missing trailing newline
  * is added) while reading responses, half-close after the last byte,
- * read every response until EOF. Returns the raw response bytes. A
- * positive @p idleTimeoutSeconds fails the exchange with
- * E-SERVE-TIMEOUT once no byte has arrived for that long.
+ * read every response until EOF. Returns the raw response bytes. The
+ * exchange fails with E-SERVE-TIMEOUT once no byte has arrived for
+ * @p idleTimeoutSeconds (> 0).
  */
 Result<std::string> serveSendLines(const std::string& socketPath,
                                    int port, const std::string& input,
-                                   double idleTimeoutSeconds = 0);
+                                   double idleTimeoutSeconds);
 
-/** serveSendLinesRetry knobs (CLI: --retries / --retry-base-ms). */
+/** serveSendLinesRetry knobs (CLI: --retries / --retry-base-ms /
+ *  --timeout). */
 struct ServeSendOptions {
     std::string socketPath;
     int port = 0;
@@ -110,10 +118,8 @@ struct ServeSendOptions {
     int retries = 3;
     /** Backoff base; grows exponentially with ±25% jitter. */
     double retryBaseSeconds = 0.05;
-    /** Idle deadline: the longest wait for the next response byte
-     *  (0 = none). Above the daemon's default 60 s deadline cap, so
-     *  only a peer that stopped answering trips it. */
-    double idleTimeoutSeconds = 120;
+    /** Idle deadline (> 0): the longest wait for the next byte. */
+    double idleTimeoutSeconds = kServeSendIdleTimeoutSeconds;
 };
 
 /**

@@ -106,13 +106,10 @@ parseLongLong(const std::string& text, long long min, long long max,
     return true;
 }
 
-/** Ensure the environment spec was consumed (under the registry lock). */
+/** Arm the sites VDRAM_FAILPOINTS names (under the registry lock). */
 void
-loadEnvLocked(Registry& reg)
+armFromEnvLocked(Registry& reg)
 {
-    if (reg.envLoaded)
-        return;
-    reg.envLoaded = true;
     const char* env = std::getenv("VDRAM_FAILPOINTS");
     if (!env || !*env)
         return;
@@ -131,6 +128,20 @@ loadEnvLocked(Registry& reg)
         reg.slots[static_cast<size_t>(index)] = std::move(active);
         g_any_active.store(true, std::memory_order_release);
     }
+}
+
+/**
+ * Ensure the environment spec was consumed (under the registry lock).
+ * envLoaded is published only after the sites are armed: the lock-free
+ * path in failpointHit() trusts "loaded and nothing armed".
+ */
+void
+loadEnvLocked(Registry& reg)
+{
+    if (reg.envLoaded.load(std::memory_order_relaxed))
+        return;
+    armFromEnvLocked(reg);
+    reg.envLoaded.store(true, std::memory_order_release);
 }
 
 } // namespace
@@ -237,7 +248,6 @@ configureFailpoints(const std::vector<FailpointConfig>& configs)
 {
     Registry& reg = registry();
     std::lock_guard<std::mutex> lock(reg.mutex);
-    reg.envLoaded = true; // explicit configuration overrides the env
     reg.envStatus = Status::okStatus();
     for (auto& slot : reg.slots)
         slot.reset();
@@ -252,6 +262,9 @@ configureFailpoints(const std::vector<FailpointConfig>& configs)
         any = true;
     }
     g_any_active.store(any, std::memory_order_release);
+    // Explicit configuration overrides the env; published after the
+    // slots, as in loadEnvLocked().
+    reg.envLoaded.store(true, std::memory_order_release);
 }
 
 void
@@ -279,24 +292,21 @@ FailpointHit
 failpointHit(const char* name, std::uint64_t seed)
 {
     Registry& reg = registry();
-    {
-        // First-use lazy env load. Once the environment has been read
-        // and nothing is armed, a site costs two atomic loads and takes
-        // no lock (campaign workers evaluate sites on every task).
-        if (!g_any_active.load(std::memory_order_acquire)) {
-            if (reg.envLoaded.load(std::memory_order_acquire))
-                return FailpointHit{};
-            std::lock_guard<std::mutex> lock(reg.mutex);
-            loadEnvLocked(reg);
-            if (!g_any_active.load(std::memory_order_relaxed))
-                return FailpointHit{};
-        }
-    }
+    // Once the environment has been read and nothing is armed, a site
+    // costs two atomic loads and takes no lock (campaign workers
+    // evaluate sites on every task). envLoaded is read first: it is
+    // published after the env's sites are armed, so g_any_active read
+    // after it is current. Otherwise the first use loads the env lazily
+    // under the lock.
+    if (reg.envLoaded.load(std::memory_order_acquire) &&
+        !g_any_active.load(std::memory_order_acquire))
+        return FailpointHit{};
     FailpointConfig config;
     long long evaluation = 0;
     std::shared_ptr<ActiveFailpoint> active;
     {
         std::lock_guard<std::mutex> lock(reg.mutex);
+        loadEnvLocked(reg);
         int index = nameIndex(name);
         if (index < 0)
             return FailpointHit{};

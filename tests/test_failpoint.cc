@@ -13,12 +13,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <fstream>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/variant_evaluator.h"
@@ -201,6 +204,46 @@ TEST(FailpointGateTest, EnvInitRejectsMalformedSpec)
     EXPECT_TRUE(failpointHit("ckpt.append").fired());
     ::unsetenv("VDRAM_FAILPOINTS");
     clearFailpoints();
+}
+
+TEST(FailpointGateTest, ConcurrentFirstUseSeesTheEnvArmedSite)
+{
+    // Threads that make the first evaluation together, while one of
+    // them arms the env spec, must all see the armed site and all be
+    // counted (hit-index and rate decisions depend on the count).
+    FailpointGuard guard;
+    struct EnvGuard {
+        ~EnvGuard() { ::unsetenv("VDRAM_FAILPOINTS"); }
+    } env_guard; // destroyed first, so the guard's clear forgets it
+    ::setenv("VDRAM_FAILPOINTS", "trace.slice=error", 1);
+    constexpr int kThreads = 4;
+    for (int round = 0; round < 100; ++round) {
+        clearFailpoints(); // forget the env read of the last round
+        std::atomic<int> ready{0};
+        std::atomic<int> fired{0};
+        std::vector<std::thread> threads;
+        for (int t = 0; t < kThreads; ++t) {
+            threads.emplace_back([&, t] {
+                // Spin (no yield) so the threads leave the barrier
+                // together, then stagger by 2 us each so later ones
+                // arrive while the first is still arming.
+                ready.fetch_add(1);
+                while (ready.load() < kThreads) {
+                }
+                const auto start = std::chrono::steady_clock::now();
+                while (std::chrono::steady_clock::now() - start <
+                       std::chrono::microseconds(2 * t)) {
+                }
+                if (failpointHit("trace.slice").fired())
+                    fired.fetch_add(1);
+            });
+        }
+        for (std::thread& thread : threads)
+            thread.join();
+        ASSERT_EQ(fired.load(), kThreads) << "round " << round;
+        ASSERT_EQ(failpointFireCount("trace.slice"), kThreads)
+            << "round " << round;
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -484,7 +484,8 @@ TEST(FleetEndToEndTest, TcpLoopbackRoundTrip)
     Result<std::string> replies = serveSendLines(
         "", port,
         "{\"id\":1,\"op\":\"ping\"}\n"
-        "{\"id\":2,\"op\":\"load\",\"preset\":\"ddr3_1g_55\"}\n");
+        "{\"id\":2,\"op\":\"load\",\"preset\":\"ddr3_1g_55\"}\n",
+        kServeSendIdleTimeoutSeconds);
     ASSERT_TRUE(replies.ok()) << replies.error().toString();
     const std::string& out = replies.value();
     const std::size_t eol = out.find('\n');

@@ -80,7 +80,8 @@ class DaemonFixture {
 
     Result<std::string> send(const std::string& lines)
     {
-        return serveSendLines(options_.socketPath, options_.port, lines);
+        return serveSendLines(options_.socketPath, options_.port, lines,
+                              kServeSendIdleTimeoutSeconds);
     }
 
   private:
@@ -321,7 +322,8 @@ TEST(ServeDaemonTest, TcpLoopbackRoundTrip)
     Result<std::string> replies = serveSendLines(
         "", options.port,
         "{\"id\":1,\"op\":\"ping\"}\n"
-        "{\"id\":2,\"op\":\"load\",\"preset\":\"ddr3_2g_55\"}\n");
+        "{\"id\":2,\"op\":\"load\",\"preset\":\"ddr3_2g_55\"}\n",
+        kServeSendIdleTimeoutSeconds);
     ASSERT_TRUE(replies.ok()) << replies.error().toString();
     std::vector<std::string> out = lines(replies.value());
     ASSERT_EQ(out.size(), 2u);
@@ -654,6 +656,14 @@ TEST(ServeSendTest, CliExitsSevenOnASilentPeer)
     ASSERT_TRUE(WIFEXITED(status));
     EXPECT_EQ(WEXITSTATUS(status), 7);
     EXPECT_LT(seconds, 5.0);
+
+    // There is no wait-for-ever value: 0 is a usage error.
+    const int zero = std::system(
+        (std::string(VDRAM_CLI_PATH) + " serve-send --socket=" + path +
+         " --timeout=0 </dev/null 2>/dev/null >/dev/null")
+            .c_str());
+    ASSERT_TRUE(WIFEXITED(zero));
+    EXPECT_EQ(WEXITSTATUS(zero), 2);
 }
 #endif
 

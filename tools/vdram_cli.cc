@@ -276,8 +276,7 @@ printUsage(std::FILE* out)
         "                            jittered exponential backoff\n"
         "                            (default 3 retries, 50 ms base);\n"
         "                            exit 7 when no response byte\n"
-        "                            arrives for S s (default 120,\n"
-        "                            0 = wait for ever)\n"
+        "                            arrives for S s (default 120)\n"
         "  fleet [--socket=PATH|--port=N] [--workers=N]\n"
         "        [--worker-dir=DIR] [--heartbeat=S]\n"
         "        [--heartbeat-deadline=S] [--restart-budget=N]\n"
@@ -1923,10 +1922,10 @@ cmdServeSend(int argc, char** argv)
             const std::string value = arg.substr(10);
             char* end = nullptr;
             const double seconds = std::strtod(value.c_str(), &end);
-            if (value.empty() || *end != '\0' || !(seconds >= 0) ||
+            if (value.empty() || *end != '\0' || !(seconds > 0) ||
                 seconds > 86400) {
                 std::fprintf(stderr,
-                             "--timeout must be in [0, 86400] seconds, "
+                             "--timeout must be in (0, 86400] seconds, "
                              "got '%s'\n",
                              value.c_str());
                 return kExitUsage;
