@@ -1,9 +1,9 @@
 /**
  * @file
  * Trend analysis tests (Figs. 11-13): energy per bit falls monotonically
- * down the ladder, the improvement factor flattens in the forecast
- * (x1.5/gen historical vs x1.2/gen forecast), die areas stay in the
- * manufacturable band.
+ * down the ladder and die areas stay in the manufacturable band. The
+ * per-generation improvement factors are gated by the Fig. 13 entry of
+ * the paper-artifact registry (tests/test_paper_artifacts.cc).
  */
 #include <gtest/gtest.h>
 
@@ -48,27 +48,6 @@ TEST_F(TrendTest, EnergyPerBitFallsMonotonically)
                   (*points_)[i - 1].energyPerBit)
             << (*points_)[i].generation.label();
     }
-}
-
-TEST_F(TrendTest, HistoricalImprovementRoughly1p5PerGen)
-{
-    // Fig. 13: "a decrease in energy per bit from the 170nm generation
-    // to the 44nm generation ... by a factor of 1.5 per generation on
-    // average."
-    TrendSummary summary = summarizeTrends(*points_);
-    EXPECT_GT(summary.historicalFactorPerGen, 1.30);
-    EXPECT_LT(summary.historicalFactorPerGen, 1.75);
-}
-
-TEST_F(TrendTest, ForecastImprovementFlattensToRoughly1p2)
-{
-    // "The forecast for the coming 8 years ... is only a factor of 1.2
-    // per generation" — the flattening must be visible.
-    TrendSummary summary = summarizeTrends(*points_);
-    EXPECT_GT(summary.forecastFactorPerGen, 1.05);
-    EXPECT_LT(summary.forecastFactorPerGen, 1.40);
-    EXPECT_LT(summary.forecastFactorPerGen,
-              summary.historicalFactorPerGen);
 }
 
 TEST_F(TrendTest, EnergyPerBitMagnitudesPlausible)

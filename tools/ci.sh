@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Full CI sequence: normal warning-free (-Werror) build + complete test
 # suite (also under VDRAM_FASTPATH=verify and VDRAM_SIMD=off), a
-# -march=native build of the golden and SIMD-identity suites whose
+# -march=native build of the paper-artifact and SIMD-identity suites whose
 # end-to-end benchmark digests must match the normal build's, then an
 # ASan+UBSan build of the
 # robustness surface (parser, validator, diagnostics, CLI lint), a
@@ -40,15 +40,16 @@ echo "== full test suite (VDRAM_SIMD=off, scalar reference paths) =="
 # the scalar fallbacks stay a tested source of truth, not dead code.
 VDRAM_SIMD=off ctest --test-dir build --output-on-failure -j "$jobs"
 
-echo "== native-target build: goldens, SIMD identity, benchmark digests =="
+echo "== native-target build: paper artifacts, SIMD identity, benchmark digests =="
 # The byte-identity contract holds for any x86-64 target: with FMA and
-# AVX-512 available the goldens must still match (the root
-# CMakeLists.txt pins -ffp-contract=off), and so must the seed-1
-# output_digest of every end-to-end benchmark workload.
+# AVX-512 available every paper-artifact golden must still match and
+# every verdict still pass (the root CMakeLists.txt pins
+# -ffp-contract=off), and so must the seed-1 output_digest of every
+# end-to-end benchmark workload.
 cmake -B build-native -S . -DCMAKE_CXX_FLAGS=-march=native
 cmake --build build-native -j "$jobs" \
       --target vdram_tests bench_e2e vdram_cli
-./build-native/tests/vdram_tests --gtest_filter='Golden*:SimdIdentity*'
+./build-native/tests/vdram_tests --gtest_filter='Golden*:Paper*:SimdIdentity*'
 root=$(pwd)
 digestdir=$(mktemp -d)
 for workload in mc_campaign trace_replay sched_trace serve_whatif \
