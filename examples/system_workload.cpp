@@ -2,16 +2,14 @@
  * @file
  * System-level walkthrough: the full trace -> controller -> power
  * pipeline. Generates workloads with different row locality, schedules
- * them under open- and closed-page policies, evaluates power, and shows
- * the cycle-resolved current profile (peak vs average — what the power
- * delivery network sees). This is the co-design loop the paper's
- * Section V calls for, in ~80 lines of user code.
+ * them under open- and closed-page policies, evaluates power, and
+ * prints the trace text. This is the co-design loop the paper's
+ * Section V calls for, in ~70 lines of user code.
  */
 #include <cstdio>
 
 #include "core/model.h"
 #include "core/report.h"
-#include "power/current_profile.h"
 #include "presets/presets.h"
 #include "protocol/controller.h"
 #include "protocol/trace.h"
@@ -63,19 +61,6 @@ main()
         }
     }
     std::printf("%s\n", table.render().c_str());
-
-    // --- the power-delivery view: peak vs average current ---------------
-    Pattern idd0 = makeIddPattern(IddMeasure::Idd0, desc.spec,
-                                  desc.timing);
-    CurrentProfile profile = computeCurrentProfile(
-        idd0, model.operations(), desc.elec, desc.timing);
-    std::printf("IDD0 current profile: average %.0f mA, peak %.0f mA "
-                "at cycle %d (crest factor %.1f)\n",
-                profile.average * 1e3, profile.peak * 1e3,
-                profile.peakCycle, profile.crestFactor());
-    std::printf("The row-activation charge dump sizes the on-die "
-                "regulators and decoupling,\nnot the average IDD — the "
-                "same charge budget answers both questions.\n\n");
 
     // --- traces are plain text ------------------------------------------
     std::string trace_text = writeTrace(

@@ -43,14 +43,6 @@ writePatternPower(JsonWriter& json, const PatternPower& power)
 } // namespace
 
 std::string
-patternPowerToJson(const PatternPower& power)
-{
-    JsonWriter json;
-    writePatternPower(json, power);
-    return json.str();
-}
-
-std::string
 modelToJson(const DramPowerModel& model)
 {
     const DramDescription& desc = model.description();

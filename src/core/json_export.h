@@ -13,10 +13,6 @@
 
 namespace vdram {
 
-/** One pattern evaluation as JSON: totals, component, operation and
- *  domain splits. */
-std::string patternPowerToJson(const PatternPower& power);
-
 /** A full device evaluation: identity, die geometry, the standard IDD
  *  table and the default-pattern breakdown. */
 std::string modelToJson(const DramPowerModel& model);

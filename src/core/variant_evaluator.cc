@@ -298,13 +298,6 @@ VariantEvaluator::paretoPower()
            model_.desc_.elec.vdd;
 }
 
-double
-VariantEvaluator::energyPerBit()
-{
-    ensureFresh();
-    return model_.evaluate(paretoPattern()).energyPerBit;
-}
-
 PatternPower
 VariantEvaluator::evaluateDefault()
 {

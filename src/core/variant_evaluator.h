@@ -93,9 +93,6 @@ class VariantEvaluator {
     /** Power of the paper's pareto (sensitivity/trend) workload. */
     double paretoPower();
 
-    /** Energy per bit of the pareto workload. */
-    double energyPerBit();
-
     /** Evaluate the description's default pattern. */
     PatternPower evaluateDefault();
 

@@ -14,7 +14,6 @@
 #include "runner/checkpoint.h"
 #include "util/backoff.h"
 #include "util/failpoint.h"
-#include "util/json.h"
 #include "util/metrics.h"
 #include "util/strings.h"
 #include "util/trace.h"
@@ -118,20 +117,6 @@ writeFileAtomic(const std::string& path, const std::string& content)
 } // namespace
 
 std::string
-taskOutcomeName(TaskOutcome outcome)
-{
-    switch (outcome) {
-    case TaskOutcome::Ok: return "ok";
-    case TaskOutcome::Failed: return "failed";
-    case TaskOutcome::Quarantined: return "quarantined";
-    case TaskOutcome::TimedOut: return "timed-out";
-    case TaskOutcome::SkippedResume: return "resumed";
-    case TaskOutcome::NotRun: return "not-run";
-    }
-    return "unknown";
-}
-
-std::string
 RunReport::renderText() const
 {
     std::string out = strformat(
@@ -144,27 +129,6 @@ RunReport::renderText() const
         ok, failed, quarantined, timedOut, retried, skippedResume,
         notRun);
     return out;
-}
-
-std::string
-RunReport::renderJson() const
-{
-    JsonWriter json;
-    json.beginObject();
-    json.key("total").value(total);
-    json.key("ok").value(ok);
-    json.key("failed").value(failed);
-    json.key("quarantined").value(quarantined);
-    json.key("timedOut").value(timedOut);
-    json.key("retried").value(retried);
-    json.key("skippedResume").value(skippedResume);
-    json.key("notRun").value(notRun);
-    json.key("wallSeconds").value(wallSeconds);
-    json.key("tasksPerSecond").value(tasksPerSecond);
-    json.key("interrupted").value(interrupted);
-    json.key("complete").value(complete());
-    json.endObject();
-    return json.str();
 }
 
 int
@@ -193,9 +157,9 @@ Status
 RunnerCore::invokeOnce(const TaskContext& context)
 {
     // The named-failpoint site for task invocation. Error is reported
-    // transient (exercises the retry ladder like the legacy FaultPlan);
-    // Stall blocks until the watchdog cancels, bounded like the
-    // FaultKind::Timeout path below.
+    // transient (exercises the retry ladder); Stall blocks until the
+    // watchdog cancels, bounded so a run without an armed deadline
+    // cannot hang the campaign.
     FailpointHit hit = failpointHit("runner.task", context.seed);
     if (hit.fired()) {
         if (metricsEnabled())
@@ -222,33 +186,6 @@ RunnerCore::invokeOnce(const TaskContext& context)
         }
         case FailpointAction::Abort: std::abort();
         default: break; // Delay already slept; PartialWrite is n/a here
-        }
-    }
-    if (options_.faultPlan.shouldFault(context.seed)) {
-        if (metricsEnabled())
-            runnerInstruments().faults.add();
-        switch (options_.faultPlan.kind) {
-        case FaultKind::Error:
-            return Error{strformat("injected transient fault "
-                                   "(task %lld, attempt %d)",
-                                   context.index, context.attempt),
-                         0, 0, "", "T-FAULT-INJECT"};
-        case FaultKind::Crash:
-            throw std::runtime_error(
-                strformat("injected crash (task %lld)", context.index));
-        case FaultKind::Timeout: {
-            // Stall until the watchdog cancels us; bounded so a plan
-            // without an armed deadline cannot hang the campaign.
-            double cap = options_.taskTimeoutSeconds > 0
-                             ? options_.taskTimeoutSeconds * 4
-                             : 0.2;
-            Clock::time_point start = Clock::now();
-            while (!context.cancelled() && secondsSince(start) < cap)
-                sleepSeconds(0.001);
-            return Error{strformat("injected stall (task %lld)",
-                                   context.index),
-                         0, 0, "", "T-FAULT-STALL"};
-        }
         }
     }
     return invokeTask(context);

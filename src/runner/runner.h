@@ -34,7 +34,6 @@
 #include <vector>
 
 #include "runner/checkpoint.h"
-#include "runner/fault_injection.h"
 #include "runner/worker_pool.h"
 #include "util/diag.h"
 #include "util/result.h"
@@ -91,9 +90,6 @@ enum class TaskOutcome {
     NotRun,        ///< run stopped before the task was started
 };
 
-/** Name of an outcome ("ok", "failed", ...). */
-std::string taskOutcomeName(TaskOutcome outcome);
-
 /** Terminal record of one task after the run. */
 struct TaskResult {
     long long index = 0;
@@ -133,8 +129,6 @@ struct RunReport {
 
     /** Multi-line human-readable summary. */
     std::string renderText() const;
-    /** One JSON object with every counter. */
-    std::string renderJson() const;
 };
 
 /** Runner configuration. */
@@ -151,8 +145,6 @@ struct RunnerOptions {
     std::string checkpointPath;
     /** Skip tasks recorded "ok" in the checkpoint file. */
     bool resume = false;
-    /** Deterministic fault injection (test hook). */
-    FaultPlan faultPlan;
     /**
      * Graceful-stop flag (e.g. raised by a SIGINT handler). Polled
      * between tasks: no new task starts once it is true.

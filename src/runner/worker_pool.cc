@@ -103,13 +103,6 @@ WorkerPool::drain()
 }
 
 void
-WorkerPool::cancelAll()
-{
-    for (Slot& slot : slots_)
-        slot.cancel.store(true, std::memory_order_release);
-}
-
-void
 WorkerPool::shutdown()
 {
     {

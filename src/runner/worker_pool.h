@@ -54,8 +54,8 @@ class WorkerPool {
          *  whole job. */
         int worker() const { return worker_; }
 
-        /** True once the watchdog (or cancelAll) asked this job to
-         *  stop. Long-running bodies poll this. */
+        /** True once the watchdog asked this job to stop.
+         *  Long-running bodies poll this. */
         bool cancelled() const;
 
         /**
@@ -100,9 +100,6 @@ class WorkerPool {
 
     /** Block until the queue is empty and no job is in flight. */
     void drain();
-
-    /** Raise every in-flight job's cancel flag (cooperative). */
-    void cancelAll();
 
     /** Stop accepting, finish queued jobs, join all threads. Idempotent;
      *  the destructor calls it. */

@@ -19,23 +19,6 @@ requestError(long long id, const std::string& what)
 
 } // namespace
 
-std::string
-serveOpName(ServeOp op)
-{
-    switch (op) {
-    case ServeOp::Ping: return "ping";
-    case ServeOp::List: return "list";
-    case ServeOp::Load: return "load";
-    case ServeOp::Evaluate: return "evaluate";
-    case ServeOp::Idd: return "idd";
-    case ServeOp::Perturb: return "perturb";
-    case ServeOp::Reset: return "reset";
-    case ServeOp::Metrics: return "metrics";
-    case ServeOp::Stats: return "stats";
-    }
-    return "unknown";
-}
-
 Result<ServeRequest>
 parseServeRequest(const std::string& line)
 {

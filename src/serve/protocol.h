@@ -32,9 +32,6 @@ enum class ServeOp {
     Stats,    ///< daemon counters (queue depth, cache, sessions)
 };
 
-/** Name of an op ("ping", "load", ...). */
-std::string serveOpName(ServeOp op);
-
 /** One parsed request. */
 struct ServeRequest {
     /** Client-chosen correlation id, echoed in the response. */

@@ -12,31 +12,10 @@
 #include "serve/line_server.h"
 #include "serve/protocol.h"
 #include "util/failpoint.h"
-#include "util/json.h"
 #include "util/metrics.h"
 #include "util/strings.h"
 
 namespace vdram {
-
-std::string
-RouterStats::renderJson() const
-{
-    JsonWriter json;
-    json.beginObject();
-    json.key("connections").value(connections);
-    json.key("requestsAccepted").value(requestsAccepted);
-    json.key("requestsRouted").value(requestsRouted);
-    json.key("requestsShed").value(requestsShed);
-    json.key("requestsMalformed").value(requestsMalformed);
-    json.key("failovers").value(failovers);
-    json.key("failoverFailures").value(failoverFailures);
-    json.key("responsesWritten").value(responsesWritten);
-    json.key("responsesFailed").value(responsesFailed);
-    json.key("sessionFaults").value(sessionFaults);
-    json.key("drained").value(drained);
-    json.endObject();
-    return json.str();
-}
 
 namespace {
 

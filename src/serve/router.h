@@ -68,7 +68,6 @@ struct RouterStats {
     long long responsesFailed = 0;
     long long sessionFaults = 0;
     bool drained = false;
-    std::string renderJson() const;
 };
 
 /**

@@ -34,18 +34,6 @@ after(Clock::time_point base, double seconds)
 
 } // namespace
 
-std::string
-fleetWorkerStateName(FleetWorkerState state)
-{
-    switch (state) {
-    case FleetWorkerState::Starting: return "starting";
-    case FleetWorkerState::Ready: return "ready";
-    case FleetWorkerState::Backoff: return "backoff";
-    case FleetWorkerState::Dead: return "dead";
-    }
-    return "unknown";
-}
-
 int
 pickFleetWorker(std::uint64_t hash,
                 const std::vector<FleetWorkerView>& workers)

@@ -47,9 +47,6 @@ enum class FleetWorkerState {
     Dead,     ///< restart budget exhausted (E-FLEET-DEAD); not routable
 };
 
-/** Name of a state ("starting", "ready", ...). */
-std::string fleetWorkerStateName(FleetWorkerState state);
-
 /** Options forwarded to every spawned `vdram serve` worker. */
 struct WorkerServeOptions {
     int threads = 0;               ///< --jobs (0 = worker default)

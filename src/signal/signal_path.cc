@@ -80,32 +80,4 @@ computeSegmentLoads(const Segment& segment, const Floorplan& floorplan,
         segment, computeSegmentLength(segment, floorplan), tech);
 }
 
-double
-signalNetCapPerWire(const SignalNet& net, const Floorplan& floorplan,
-                    const TechnologyParams& tech)
-{
-    double cap = 0;
-    for (const Segment& segment : net.segments)
-        cap += computeSegmentLoads(segment, floorplan, tech).total();
-    return cap;
-}
-
-double
-signalNetLength(const SignalNet& net, const Floorplan& floorplan)
-{
-    double length = 0;
-    for (const Segment& segment : net.segments) {
-        if (segment.insideBlock) {
-            double dimension = segment.horizontal
-                ? floorplan.blockWidth(segment.inside)
-                : floorplan.blockHeight(segment.inside);
-            length += dimension * segment.fraction * segment.lengthScale;
-        } else {
-            length += floorplan.manhattanDistance(segment.from, segment.to) *
-                      segment.lengthScale;
-        }
-    }
-    return length;
-}
-
 } // namespace vdram

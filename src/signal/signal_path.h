@@ -99,13 +99,6 @@ SegmentLoads computeSegmentLoads(const Segment& segment,
                                  const Floorplan& floorplan,
                                  const TechnologyParams& tech);
 
-/** Total capacitance of one wire of the net (sum over segments). */
-double signalNetCapPerWire(const SignalNet& net, const Floorplan& floorplan,
-                           const TechnologyParams& tech);
-
-/** Total routed length of one wire of the net. */
-double signalNetLength(const SignalNet& net, const Floorplan& floorplan);
-
 } // namespace vdram
 
 #endif // VDRAM_SIGNAL_SIGNAL_PATH_H

@@ -21,16 +21,6 @@ interfaceName(Interface iface)
     return "?";
 }
 
-double
-GenerationInfo::controlFrequency() const
-{
-    // SDR transfers one bit per clock; all DDR interfaces transfer two,
-    // so the command/address clock runs at half the pin data rate.
-    if (interface == Interface::SDR)
-        return dataRatePerPin;
-    return dataRatePerPin / 2.0;
-}
-
 std::string
 GenerationInfo::label() const
 {

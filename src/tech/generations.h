@@ -48,9 +48,6 @@ struct GenerationInfo {
     /** Core (column) clock frequency: data rate / prefetch. */
     double coreFrequency() const { return dataRatePerPin / prefetch; }
 
-    /** Control clock frequency (the command/address clock). */
-    double controlFrequency() const;
-
     /** Human readable label such as "DDR3-1333 2Gb 55nm". */
     std::string label() const;
 };

@@ -120,15 +120,6 @@ DiagnosticEngine::firstError() const
     return Error{"no error recorded"};
 }
 
-void
-DiagnosticEngine::clear()
-{
-    diagnostics_.clear();
-    error_count_ = 0;
-    warning_count_ = 0;
-    limit_reached_ = false;
-}
-
 std::string
 DiagnosticEngine::renderText() const
 {

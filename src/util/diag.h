@@ -109,9 +109,6 @@ class DiagnosticEngine {
      */
     Error firstError() const;
 
-    /** Drop all accumulated diagnostics and reset the counters. */
-    void clear();
-
     /** Render all diagnostics as lines of human-readable text. */
     std::string renderText() const;
 

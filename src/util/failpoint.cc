@@ -33,7 +33,7 @@ constexpr const char* kFailpointNames[] = {
     "fleet.route",      // router worker-selection for a request
     "fleet.spawn",      // supervisor worker process spawn
     "model.rebuild",    // DramPowerModel::build stage rebuild
-    "runner.task",      // BatchRunner task invocation (FaultPlan site)
+    "runner.task",      // BatchRunner task invocation
     "serve.request",    // serve request evaluation
     "serve.response",   // serve response socket write
     "trace.slice",      // parallel trace campaign slice read
@@ -145,21 +145,6 @@ loadEnvLocked(Registry& reg)
 }
 
 } // namespace
-
-std::string
-failpointActionName(FailpointAction action)
-{
-    switch (action) {
-    case FailpointAction::Off: return "off";
-    case FailpointAction::Error: return "error";
-    case FailpointAction::Crash: return "crash";
-    case FailpointAction::Stall: return "stall";
-    case FailpointAction::Delay: return "delay";
-    case FailpointAction::PartialWrite: return "partial-write";
-    case FailpointAction::Abort: return "abort";
-    }
-    return "unknown";
-}
 
 std::vector<std::string>
 failpointNames()

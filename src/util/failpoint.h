@@ -30,7 +30,7 @@
  * of that failpoint (1-based), so "abort mid-way through the 13th
  * checkpoint append" is one spec string. `@rate` fires a deterministic
  * fraction of evaluations: seed-based when the site supplies a seed
- * (stable across retries/resume legs, like the runner's FaultPlan),
+ * (stable across retries and resume legs, as the runner.task site is),
  * counter-based otherwise.
  *
  * The set of failpoint names is closed: an unknown name in the spec is
@@ -62,9 +62,6 @@ enum class FailpointAction {
     PartialWrite, ///< write site truncates mid-record and must detect it
     Abort,        ///< std::abort() at the site (kill -9 simulation)
 };
-
-/** Name of an action ("error", "delay", "partial-write", ...). */
-std::string failpointActionName(FailpointAction action);
 
 /** Sentinel for evaluations that have no deterministic seed. */
 constexpr std::uint64_t kFailpointNoSeed = ~std::uint64_t{0};

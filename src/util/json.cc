@@ -152,14 +152,6 @@ JsonWriter::value(bool flag)
 }
 
 JsonWriter&
-JsonWriter::null()
-{
-    prepareValue();
-    out_ += "null";
-    return *this;
-}
-
-JsonWriter&
 JsonWriter::rawValue(const std::string& json)
 {
     prepareValue();

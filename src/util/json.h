@@ -46,7 +46,6 @@ class JsonWriter {
     JsonWriter& value(long long number);
     JsonWriter& value(int number);
     JsonWriter& value(bool flag);
-    JsonWriter& null();
 
     /** Splice a pre-rendered JSON value (e.g. a nested document from
      *  another writer) verbatim. The caller guarantees validity. */

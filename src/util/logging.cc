@@ -8,7 +8,6 @@ namespace vdram {
 
 namespace {
 std::atomic<bool> quiet{false};
-std::atomic<int> warnings{0};
 } // namespace
 
 void
@@ -28,28 +27,14 @@ fatal(const std::string& message)
 void
 warn(const std::string& message)
 {
-    warnings.fetch_add(1, std::memory_order_relaxed);
     if (!quiet.load(std::memory_order_relaxed))
         std::fprintf(stderr, "warn: %s\n", message.c_str());
-}
-
-void
-inform(const std::string& message)
-{
-    if (!quiet.load(std::memory_order_relaxed))
-        std::fprintf(stderr, "info: %s\n", message.c_str());
 }
 
 void
 setQuiet(bool q)
 {
     quiet.store(q, std::memory_order_relaxed);
-}
-
-int
-warnCount()
-{
-    return warnings.load(std::memory_order_relaxed);
 }
 
 } // namespace vdram

@@ -1,7 +1,7 @@
 /**
  * @file
  * gem5-style status reporting: panic() for internal invariant violations,
- * fatal() for unrecoverable user errors, warn()/inform() for diagnostics.
+ * fatal() for unrecoverable user errors, warn() for diagnostics.
  */
 #ifndef VDRAM_UTIL_LOGGING_H
 #define VDRAM_UTIL_LOGGING_H
@@ -31,14 +31,8 @@ namespace vdram {
 /** Non-fatal warning about questionable input or approximations. */
 void warn(const std::string& message);
 
-/** Informative status message. */
-void inform(const std::string& message);
-
-/** Suppress warn()/inform() output (used by tests). */
+/** Suppress warn() output (used by tests). */
 void setQuiet(bool quiet);
-
-/** Number of warnings emitted so far (used by tests). */
-int warnCount();
 
 } // namespace vdram
 

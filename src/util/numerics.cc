@@ -8,22 +8,6 @@
 namespace vdram {
 
 double
-Curve::at(double xq) const
-{
-    if (x.empty())
-        panic("Curve::at on empty curve");
-    if (xq <= x.front())
-        return y.front();
-    if (xq >= x.back())
-        return y.back();
-    auto it = std::upper_bound(x.begin(), x.end(), xq);
-    size_t hi = static_cast<size_t>(it - x.begin());
-    size_t lo = hi - 1;
-    double t = (xq - x[lo]) / (x[hi] - x[lo]);
-    return y[lo] + t * (y[hi] - y[lo]);
-}
-
-double
 Curve::atLog(double xq) const
 {
     if (x.empty())
@@ -38,37 +22,6 @@ Curve::atLog(double xq) const
     double t = (std::log(xq) - std::log(x[lo])) /
                (std::log(x[hi]) - std::log(x[lo]));
     return std::exp(std::log(y[lo]) + t * (std::log(y[hi]) - std::log(y[lo])));
-}
-
-LineFit
-fitLine(const std::vector<double>& x, const std::vector<double>& y)
-{
-    LineFit fit;
-    size_t n = std::min(x.size(), y.size());
-    if (n < 2)
-        return fit;
-    double sx = 0, sy = 0, sxx = 0, sxy = 0, syy = 0;
-    for (size_t i = 0; i < n; ++i) {
-        sx += x[i];
-        sy += y[i];
-        sxx += x[i] * x[i];
-        sxy += x[i] * y[i];
-        syy += y[i] * y[i];
-    }
-    double dn = static_cast<double>(n);
-    double denom = dn * sxx - sx * sx;
-    if (denom == 0.0)
-        return fit;
-    fit.slope = (dn * sxy - sx * sy) / denom;
-    fit.intercept = (sy - fit.slope * sx) / dn;
-    double ss_tot = syy - sy * sy / dn;
-    double ss_res = 0;
-    for (size_t i = 0; i < n; ++i) {
-        double r = y[i] - (fit.slope * x[i] + fit.intercept);
-        ss_res += r * r;
-    }
-    fit.r2 = ss_tot > 0 ? 1.0 - ss_res / ss_tot : 1.0;
-    return fit;
 }
 
 double
@@ -94,26 +47,6 @@ relativeDifference(double a, double b)
     if (mag == 0.0)
         return 0.0;
     return std::fabs(a - b) / mag;
-}
-
-bool
-approxEqual(double a, double b, double rel_tol)
-{
-    return relativeDifference(a, b) <= rel_tol;
-}
-
-double
-geometricMean(const std::vector<double>& values)
-{
-    if (values.empty())
-        return 0.0;
-    double log_sum = 0.0;
-    for (double v : values) {
-        if (v <= 0)
-            return 0.0;
-        log_sum += std::log(v);
-    }
-    return std::exp(log_sum / static_cast<double>(values.size()));
 }
 
 std::uint64_t

@@ -18,24 +18,11 @@ struct Curve {
     std::vector<double> x;
     std::vector<double> y;
 
-    /** Linear interpolation; clamps outside the sampled range. */
-    double at(double xq) const;
-
     /** Geometric (log-linear) interpolation for scale-factor curves. */
     double atLog(double xq) const;
 
     size_t size() const { return x.size(); }
 };
-
-/** Result of a least-squares line fit y = slope * x + intercept. */
-struct LineFit {
-    double slope = 0.0;
-    double intercept = 0.0;
-    double r2 = 0.0;
-};
-
-/** Ordinary least squares on equally weighted points. */
-LineFit fitLine(const std::vector<double>& x, const std::vector<double>& y);
 
 /**
  * Average per-step ratio of a positive series: the geometric mean of
@@ -46,12 +33,6 @@ double averageStepFactor(const std::vector<double>& series);
 
 /** Relative difference |a - b| / max(|a|, |b|); 0 when both are 0. */
 double relativeDifference(double a, double b);
-
-/** True when a and b agree within the given relative tolerance. */
-bool approxEqual(double a, double b, double rel_tol = 1e-9);
-
-/** Geometric mean of a positive series. */
-double geometricMean(const std::vector<double>& values);
 
 /**
  * SplitMix64 finalizer: a bijective avalanche of the input word. Every

@@ -268,11 +268,4 @@ formatEng(double value, std::string_view unit, int precision)
     return strformat("%.3g %s", value, std::string(unit).c_str());
 }
 
-std::string
-formatIn(double value, double scale, std::string_view unit, int precision)
-{
-    return strformat("%.*f %s", precision, value / scale,
-                     std::string(unit).c_str());
-}
-
 } // namespace vdram

@@ -72,10 +72,6 @@ Result<double> parseRatio(std::string_view text);
  */
 std::string formatEng(double value, std::string_view unit, int precision = 2);
 
-/** Format a value in a fixed unit, e.g. formatIn(2.2e-9, 1e-9, "nJ"). */
-std::string formatIn(double value, double scale, std::string_view unit,
-                     int precision = 2);
-
 } // namespace vdram
 
 #endif // VDRAM_UTIL_UNITS_H

@@ -5,6 +5,9 @@
 # SIGINT once at least one record is persisted, then resumes and checks
 # the final aggregate is byte-identical to an uninterrupted run with the
 # same flags: no non-faulted variant may be lost across the interrupt.
+# Faults come from the runner.task failpoint (VDRAM_FAILPOINTS), and the
+# interrupted run must report at least one timed-out task, so the test
+# fails if the failpoint stops stalling tasks.
 #
 # Usage: cli_sigint_drain_test.sh <path-to-vdram_cli>
 set -e
@@ -19,10 +22,11 @@ DIR=$(mktemp -d)
 trap 'rm -rf "$DIR"' EXIT
 CKPT="$DIR/ckpt.jsonl"
 
-# Stalled (timeout-kind) faults slow the run down enough for the signal
-# to land mid-campaign; --task-timeout keeps each stall short.
-FLAGS="--samples=80 --seed=3 --inject-fault=0.5:timeout"
-FLAGS="$FLAGS --task-timeout=0.05"
+# Stalled tasks slow the run down enough for the signal to land
+# mid-campaign; --task-timeout keeps each stall short.
+VDRAM_FAILPOINTS="runner.task=stall@0.5"
+export VDRAM_FAILPOINTS
+FLAGS="--samples=80 --seed=3 --task-timeout=0.05"
 
 "$CLI" montecarlo preset:ddr2_1g_75 $FLAGS --jobs=2 \
     --checkpoint="$CKPT" --ready-marker \
@@ -65,6 +69,16 @@ if [ "$STATUS" != 5 ] && [ "$STATUS" != 0 ]; then
     exit 1
 fi
 
+# The run report (stderr) counts the stalled tasks the watchdog cut off.
+TIMED_OUT=$(sed -n 's/.* timed-out \([0-9][0-9]*\) .*/\1/p' \
+    "$DIR/partial.err" | tail -n 1)
+if [ -z "$TIMED_OUT" ] || [ "$TIMED_OUT" -lt 1 ]; then
+    echo "FAIL: interrupted run reports no timed-out task" \
+         "(got '${TIMED_OUT}')" >&2
+    cat "$DIR/partial.err" >&2
+    exit 1
+fi
+
 "$CLI" montecarlo preset:ddr2_1g_75 $FLAGS --jobs=2 \
     --checkpoint="$CKPT" --resume \
     > "$DIR/resumed.txt" 2> "$DIR/resumed.err"
@@ -79,7 +93,9 @@ if ! cmp -s "$DIR/resumed.txt" "$DIR/reference.txt"; then
 fi
 
 if [ "$STATUS" = 5 ]; then
-    echo "ok: SIGINT drained (exit 5), resume byte-identical"
+    echo "ok: SIGINT drained (exit 5, $TIMED_OUT timed out)," \
+         "resume byte-identical"
 else
-    echo "ok: run finished before signal, resume byte-identical"
+    echo "ok: run finished before signal ($TIMED_OUT timed out)," \
+         "resume byte-identical"
 fi

@@ -1,14 +1,12 @@
 /**
  * @file
- * Datasheet subsystem tests: reference band integrity, the
- * Micron-calculator-style baseline model, and the CACTI-lite flat-array
- * comparator.
+ * Datasheet subsystem tests: reference band integrity and the
+ * CACTI-lite flat-array comparator.
  */
 #include <gtest/gtest.h>
 
 #include "core/model.h"
 #include "datasheet/cacti_lite.h"
-#include "datasheet/datasheet_model.h"
 #include "datasheet/reference_data.h"
 #include "presets/presets.h"
 
@@ -113,80 +111,6 @@ TEST(ReferenceDataTest, LabelsMatchPaperAxisStyle)
 {
     EXPECT_EQ(ddr2_1gb_datasheet()[0].label(), "IDD0 533 x4");
     EXPECT_EQ(ddr3_1gb_datasheet()[5].label(), "IDD4R 1333 x16");
-}
-
-TEST(DatasheetModelTest, IdleSystemIsBackgroundOnly)
-{
-    DatasheetRatings ratings;
-    UsageProfile idle;
-    idle.bankActiveFraction = 0.0;
-    idle.rowCycleUtilization = 0.0;
-    idle.readFraction = 0.0;
-    idle.writeFraction = 0.0;
-    DatasheetPower p = computeDatasheetPower(ratings, idle);
-    EXPECT_NEAR(p.background, ratings.idd2n * ratings.vdd, 1e-12);
-    EXPECT_DOUBLE_EQ(p.activate, 0.0);
-    EXPECT_DOUBLE_EQ(p.read, 0.0);
-    EXPECT_GT(p.refresh, 0.0); // refresh never stops
-    EXPECT_NEAR(p.total, p.background + p.refresh, 1e-12);
-}
-
-TEST(DatasheetModelTest, BusyScalesWithUtilization)
-{
-    DatasheetRatings ratings;
-    UsageProfile half;
-    half.rowCycleUtilization = 0.5;
-    half.readFraction = 0.25;
-    half.writeFraction = 0.25;
-    UsageProfile full = half;
-    full.rowCycleUtilization = 1.0;
-    full.readFraction = 0.5;
-    full.writeFraction = 0.5;
-    DatasheetPower p_half = computeDatasheetPower(ratings, half);
-    DatasheetPower p_full = computeDatasheetPower(ratings, full);
-    EXPECT_NEAR(p_full.activate, 2 * p_half.activate, 1e-12);
-    EXPECT_NEAR(p_full.read, 2 * p_half.read, 1e-12);
-    EXPECT_NEAR(p_full.write, 2 * p_half.write, 1e-12);
-}
-
-TEST(DatasheetModelTest, AgreesWithAnalyticalModelOnItsOwnRatings)
-{
-    // Feed the analytical model's IDD outputs into the datasheet
-    // baseline: at full utilization the two totals must be close — they
-    // describe the same device through different lenses.
-    DramPowerModel model(preset1GbDdr3(55e-9, 16, 1333));
-    DatasheetRatings ratings;
-    ratings.vdd = model.description().elec.vdd;
-    ratings.idd0 = model.idd(IddMeasure::Idd0);
-    ratings.idd2n = model.idd(IddMeasure::Idd2N);
-    ratings.idd3n = model.idd(IddMeasure::Idd3N);
-    ratings.idd4r = model.idd(IddMeasure::Idd4R);
-    ratings.idd4w = model.idd(IddMeasure::Idd4W);
-    ratings.idd5 = model.idd(IddMeasure::Idd5);
-    ratings.tRc = model.description().timing.tRc *
-                  model.description().timing.tCkSeconds;
-    ratings.tRas = model.description().timing.tRas *
-                   model.description().timing.tCkSeconds;
-
-    // The paper's pareto pattern: one row cycle per loop, one read and
-    // one write burst.
-    PatternPower reference = model.evaluateDefault();
-    const Pattern pattern = model.description().pattern;
-    double loop_s = reference.loopTime;
-    UsageProfile usage;
-    usage.bankActiveFraction = 1.0;
-    usage.rowCycleUtilization = ratings.tRc / loop_s;
-    int burst_cycles = model.description().timing.burstCycles;
-    usage.readFraction =
-        pattern.count(Op::Rd) * burst_cycles /
-        static_cast<double>(pattern.cycles());
-    usage.writeFraction =
-        pattern.count(Op::Wr) * burst_cycles /
-        static_cast<double>(pattern.cycles());
-
-    DatasheetPower estimated = computeDatasheetPower(ratings, usage);
-    EXPECT_NEAR(estimated.total, reference.power,
-                0.25 * reference.power);
 }
 
 TEST(CactiLiteTest, FlatArrayGrosslyOverestimatesActivate)

@@ -80,19 +80,6 @@ TEST(DiagnosticEngineTest, RenderJsonIsWellFormed)
     EXPECT_NE(json.find("cap \\\"x\\\" bad"), std::string::npos);
 }
 
-TEST(DiagnosticEngineTest, ClearResets)
-{
-    DiagnosticEngine diags(2);
-    diags.error("E-SYNTAX-ITEM", "a");
-    diags.error("E-SYNTAX-ITEM", "b");
-    diags.error("E-SYNTAX-ITEM", "c");
-    EXPECT_TRUE(diags.errorLimitReached());
-    diags.clear();
-    EXPECT_FALSE(diags.hasErrors());
-    EXPECT_FALSE(diags.errorLimitReached());
-    EXPECT_TRUE(diags.diagnostics().empty());
-}
-
 TEST(DiagnosticEngineTest, LegacyErrorImportGetsUnclassifiedCode)
 {
     DiagnosticEngine diags;

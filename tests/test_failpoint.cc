@@ -30,7 +30,6 @@
 #include "presets/presets.h"
 #include "protocol/trace_stream.h"
 #include "runner/checkpoint.h"
-#include "runner/fault_injection.h"
 #include "runner/runner.h"
 #include "runner/trace_campaign.h"
 #include "serve/supervisor.h"

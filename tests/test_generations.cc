@@ -92,14 +92,6 @@ TEST(GenerationsTest, RowCycleImprovesSlowly)
     EXPECT_GT(ladder.back().tRcSeconds, 0.5 * ladder.front().tRcSeconds);
 }
 
-TEST(GenerationsTest, ControlFrequencyHalvesDataRateForDdr)
-{
-    const GenerationInfo& sdr = generationAt(170e-9);
-    EXPECT_DOUBLE_EQ(sdr.controlFrequency(), sdr.dataRatePerPin);
-    const GenerationInfo& ddr3 = generationAt(55e-9);
-    EXPECT_DOUBLE_EQ(ddr3.controlFrequency(), ddr3.dataRatePerPin / 2);
-}
-
 TEST(GenerationsTest, LookupHelpers)
 {
     EXPECT_NEAR(generationAt(55e-9).featureSize, 55e-9, 1e-12);

@@ -19,10 +19,8 @@ TEST(JsonWriterTest, ObjectsArraysAndCommas)
     json.key("a").value(1);
     json.key("b").beginArray().value(1).value(2).value(3).endArray();
     json.key("c").beginObject().key("x").value(true).endObject();
-    json.key("d").null();
     json.endObject();
-    EXPECT_EQ(json.str(),
-              "{\"a\":1,\"b\":[1,2,3],\"c\":{\"x\":true},\"d\":null}");
+    EXPECT_EQ(json.str(), "{\"a\":1,\"b\":[1,2,3],\"c\":{\"x\":true}}");
 }
 
 TEST(JsonWriterTest, EscapesStrings)
@@ -97,19 +95,6 @@ TEST(JsonExportTest, ModelDocumentIsStructurallyValid)
           "\"components\":", "\"domains\":", "\"Vpp\":"}) {
         EXPECT_NE(doc.find(fragment), std::string::npos) << fragment;
     }
-}
-
-TEST(JsonExportTest, PatternPowerDocumentMatchesNumbers)
-{
-    DramPowerModel model(preset1GbDdr3(55e-9, 16, 1333));
-    PatternPower power = model.iddPattern(IddMeasure::Idd4R);
-    std::string doc = patternPowerToJson(power);
-    EXPECT_TRUE(structurallyValid(doc));
-    // The exported current matches the computed one textually.
-    char expected[64];
-    std::snprintf(expected, sizeof expected, "\"current_a\":%.9g",
-                  power.externalCurrent);
-    EXPECT_NE(doc.find(expected), std::string::npos) << doc.substr(0, 80);
 }
 
 } // namespace

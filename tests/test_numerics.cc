@@ -1,4 +1,4 @@
-/** @file Numeric helper tests: curves, fits, step factors. */
+/** @file Numeric helper tests: curves, step factors. */
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,19 +8,6 @@
 namespace vdram {
 namespace {
 
-TEST(CurveTest, LinearInterpolation)
-{
-    Curve c;
-    c.x = {1.0, 2.0, 4.0};
-    c.y = {10.0, 20.0, 40.0};
-    EXPECT_DOUBLE_EQ(c.at(1.0), 10.0);
-    EXPECT_DOUBLE_EQ(c.at(1.5), 15.0);
-    EXPECT_DOUBLE_EQ(c.at(3.0), 30.0);
-    // Clamping outside the range.
-    EXPECT_DOUBLE_EQ(c.at(0.5), 10.0);
-    EXPECT_DOUBLE_EQ(c.at(9.0), 40.0);
-}
-
 TEST(CurveTest, LogInterpolationIsGeometric)
 {
     Curve c;
@@ -28,22 +15,6 @@ TEST(CurveTest, LogInterpolationIsGeometric)
     c.y = {1.0, 100.0};
     // Log-log interpolation of y=x hits the geometric midpoint.
     EXPECT_NEAR(c.atLog(10.0), 10.0, 1e-9);
-}
-
-TEST(LineFitTest, RecoversExactLine)
-{
-    std::vector<double> x = {0, 1, 2, 3, 4};
-    std::vector<double> y = {1, 3, 5, 7, 9};
-    LineFit fit = fitLine(x, y);
-    EXPECT_NEAR(fit.slope, 2.0, 1e-12);
-    EXPECT_NEAR(fit.intercept, 1.0, 1e-12);
-    EXPECT_NEAR(fit.r2, 1.0, 1e-12);
-}
-
-TEST(LineFitTest, DegenerateInputs)
-{
-    EXPECT_DOUBLE_EQ(fitLine({1.0}, {2.0}).slope, 0.0);
-    EXPECT_DOUBLE_EQ(fitLine({2.0, 2.0}, {1.0, 3.0}).slope, 0.0);
 }
 
 TEST(StepFactorTest, ConstantFactorSeries)
@@ -60,15 +31,6 @@ TEST(RelDiffTest, Basics)
 {
     EXPECT_DOUBLE_EQ(relativeDifference(0, 0), 0.0);
     EXPECT_NEAR(relativeDifference(100, 110), 10.0 / 110.0, 1e-12);
-    EXPECT_TRUE(approxEqual(1.0, 1.0 + 1e-12, 1e-9));
-    EXPECT_FALSE(approxEqual(1.0, 1.1, 1e-3));
-}
-
-TEST(GeometricMeanTest, Basics)
-{
-    EXPECT_NEAR(geometricMean({2.0, 8.0}), 4.0, 1e-12);
-    EXPECT_DOUBLE_EQ(geometricMean({}), 0.0);
-    EXPECT_DOUBLE_EQ(geometricMean({1.0, -1.0}), 0.0);
 }
 
 } // namespace

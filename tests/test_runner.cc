@@ -24,9 +24,9 @@
 #include "presets/presets.h"
 #include "runner/campaign.h"
 #include "runner/checkpoint.h"
-#include "runner/fault_injection.h"
 #include "runner/runner.h"
 #include "core/montecarlo.h"
+#include "util/failpoint.h"
 #include "util/metrics.h"
 #include "util/numerics.h"
 #include "util/strings.h"
@@ -86,58 +86,6 @@ TEST(SeedStreamTest, MonteCarloSampleSeedMatchesStream)
 {
     EXPECT_EQ(monteCarloSampleSeed(7, 3), deriveStreamSeed(7, 3));
     EXPECT_NE(monteCarloSampleSeed(7, 3), monteCarloSampleSeed(7, 4));
-}
-
-// ---------------------------------------------------------------------
-// Fault plan
-// ---------------------------------------------------------------------
-
-TEST(FaultPlanTest, ParseSpecs)
-{
-    Result<FaultPlan> plain = parseFaultPlan("0.25");
-    ASSERT_TRUE(plain.ok());
-    EXPECT_DOUBLE_EQ(plain.value().rate, 0.25);
-    EXPECT_EQ(plain.value().kind, FaultKind::Error);
-
-    Result<FaultPlan> crash = parseFaultPlan("1:crash");
-    ASSERT_TRUE(crash.ok());
-    EXPECT_EQ(crash.value().kind, FaultKind::Crash);
-
-    Result<FaultPlan> timeout = parseFaultPlan("0.5:timeout");
-    ASSERT_TRUE(timeout.ok());
-    EXPECT_EQ(timeout.value().kind, FaultKind::Timeout);
-
-    EXPECT_FALSE(parseFaultPlan("1.5").ok());
-    EXPECT_FALSE(parseFaultPlan("-0.1").ok());
-    EXPECT_FALSE(parseFaultPlan("abc").ok());
-    EXPECT_FALSE(parseFaultPlan("0.5:explode").ok());
-    EXPECT_FALSE(parseFaultPlan("").ok());
-    EXPECT_EQ(parseFaultPlan("nan").ok(), false);
-}
-
-TEST(FaultPlanTest, DeterministicDecision)
-{
-    FaultPlan plan;
-    plan.rate = 0.3;
-    int faulted = 0;
-    for (std::uint64_t s = 0; s < 500; ++s) {
-        bool a = plan.shouldFault(deriveStreamSeed(11, s));
-        bool b = plan.shouldFault(deriveStreamSeed(11, s));
-        EXPECT_EQ(a, b);
-        faulted += a ? 1 : 0;
-    }
-    // Roughly 30% of 500 — wide tolerance, this is a sanity check.
-    EXPECT_GT(faulted, 100);
-    EXPECT_LT(faulted, 200);
-
-    FaultPlan never;
-    never.rate = 0;
-    FaultPlan always;
-    always.rate = 1.0;
-    for (std::uint64_t s = 0; s < 50; ++s) {
-        EXPECT_FALSE(never.shouldFault(s));
-        EXPECT_TRUE(always.shouldFault(s));
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -461,10 +409,24 @@ TEST(BatchRunnerTest, StopFlagDrainsRemainingTasks)
     EXPECT_EQ(report.value().ok + report.value().notRun, 10);
 }
 
+/** Arms the runner.task failpoint for one test and clears it on exit,
+ *  so the activation never leaks into the next test. */
+struct RunnerTaskFailpoint {
+    explicit RunnerTaskFailpoint(const std::string& action)
+    {
+        Result<std::vector<FailpointConfig>> configs =
+            parseFailpointSpec("runner.task=" + action);
+        EXPECT_TRUE(configs.ok());
+        if (configs.ok())
+            configureFailpoints(configs.value());
+    }
+    ~RunnerTaskFailpoint() { clearFailpoints(); }
+};
+
 TEST(BatchRunnerTest, FaultInjectionDeterministicSubset)
 {
+    RunnerTaskFailpoint failpoint("error@0.4");
     RunnerOptions options;
-    options.faultPlan.rate = 0.4;
     options.maxRetries = 0;
     auto run_once = [&options]() {
         BatchRunner<std::string> runner(
@@ -491,19 +453,6 @@ TEST(BatchRunnerTest, EffectiveJobCount)
 {
     EXPECT_GE(effectiveJobCount(0), 1);
     EXPECT_EQ(effectiveJobCount(3), 3);
-}
-
-TEST(BatchRunnerTest, ReportRenderJsonHasCounters)
-{
-    BatchRunner<std::string> runner(
-        simpleManifest(2),
-        [](const TaskContext&) -> Result<std::string> { return std::string("x"); },
-        {});
-    ASSERT_TRUE(runner.run().ok());
-    std::string json = runner.report().renderJson();
-    EXPECT_NE(json.find("\"ok\""), std::string::npos);
-    EXPECT_NE(json.find("\"quarantined\""), std::string::npos);
-    EXPECT_NE(json.find("\"interrupted\""), std::string::npos);
 }
 
 // ---------------------------------------------------------------------
@@ -759,9 +708,9 @@ TEST(FastPathContractTest, VerifyComparesDoublesBitForBit)
 
 TEST(CampaignTest, FaultInjectedCampaignStillAggregates)
 {
+    RunnerTaskFailpoint failpoint("error@0.3");
     DramDescription nominal = preset1GbDdr3(55e-9, 16, 1333);
     RunnerOptions options;
-    options.faultPlan.rate = 0.3;
     options.maxRetries = 0;
     DiagnosticEngine diags;
     Result<MonteCarloCampaign> r = runMonteCarloCampaign(
@@ -811,9 +760,9 @@ sidecarTaskCounters(const std::string& checkpoint_path)
 }
 
 /** Fails transiently on the first attempt of every third task: unlike
- *  FaultPlan (whose faults repeat on every attempt, so a failed record
- *  fails again when resume re-executes it), this converges — exactly
- *  what the cumulative-counter identity needs. */
+ *  the seeded runner.task failpoint (whose faults repeat on every
+ *  attempt, so a failed record fails again when resume re-executes it),
+ *  this converges — exactly what the cumulative-counter identity needs. */
 Result<std::vector<double>>
 firstAttemptFlakyTask(const TaskContext& context)
 {

@@ -108,24 +108,6 @@ TEST(SignalTest, LengthScaleShortensSegment)
     EXPECT_NEAR(computeSegmentLoads(seg, fp, tech).length, 1.5e-3, 1e-12);
 }
 
-TEST(SignalTest, NetAccumulatesSegments)
-{
-    Floorplan fp = grid3x3();
-    TechnologyParams tech = referenceTechnology90nm();
-    SignalNet net;
-    net.name = "test";
-    Segment s1;
-    s1.from = {0, 0};
-    s1.to = {2, 0};
-    Segment s2;
-    s2.from = {2, 0};
-    s2.to = {2, 2};
-    net.segments = {s1, s2};
-    EXPECT_NEAR(signalNetLength(net, fp), 6e-3, 1e-12);
-    EXPECT_NEAR(signalNetCapPerWire(net, fp, tech),
-                6e-3 * tech.wireCapSignal, 1e-18);
-}
-
 TEST(SignalTest, RoleNamesStable)
 {
     EXPECT_EQ(signalRoleName(SignalRole::WriteData), "writedata");

@@ -211,15 +211,16 @@ echo "== chaos smoke: fleet self-heals a wedged worker =="
 echo "== fault-injection + resume smoke =="
 # Two fault-injected campaigns sharing one checkpoint: the second run
 # must restore every non-faulted variant and produce the same aggregate.
+# The runner.task failpoint fails a seed-determined 20 % of the tasks.
 smokedir=$(mktemp -d)
 trap 'rm -rf "$smokedir" "$chaosdir"' EXIT
 cli=$(pwd)/build/tools/vdram_cli
 (
     cd "$smokedir"
-    "$cli" montecarlo preset:ddr2_1g_75 --samples=100 --seed=7 \
-        --inject-fault=0.2 --resume > first.txt
-    "$cli" montecarlo preset:ddr2_1g_75 --samples=100 --seed=7 \
-        --inject-fault=0.2 --resume > second.txt
+    VDRAM_FAILPOINTS=runner.task=error@0.2 "$cli" montecarlo \
+        preset:ddr2_1g_75 --samples=100 --seed=7 --resume > first.txt
+    VDRAM_FAILPOINTS=runner.task=error@0.2 "$cli" montecarlo \
+        preset:ddr2_1g_75 --samples=100 --seed=7 --resume > second.txt
     cmp first.txt second.txt
     test -s vdram_montecarlo.jsonl
 )

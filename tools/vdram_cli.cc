@@ -19,12 +19,13 @@
  *
  * Campaign commands (montecarlo, sensitivity, sweep, trends) route
  * through the resilient batch runner (src/runner/): --jobs=N
- * parallelism, --task-timeout, --checkpoint/--resume, --inject-fault
- * and graceful SIGINT draining.
+ * parallelism, --task-timeout, --checkpoint/--resume and graceful
+ * SIGINT draining; VDRAM_FAILPOINTS=runner.task=... forces task faults.
  *
  * Exit codes: 0 success, 1 runtime error, 2 usage error, 3 syntax
  * (parse) error in the description, 4 validation error, 5 interrupted
- * (partial results; checkpoint flushed).
+ * (partial results; checkpoint flushed), 6 unreadable input or
+ * checkpoint file, 7 serve-send idle deadline.
  */
 #include <algorithm>
 #include <atomic>
@@ -322,13 +323,6 @@ printUsage(std::FILE* out)
         "  --resume                  skip variants completed in the\n"
         "                            checkpoint (default path if none "
         "given)\n"
-        "  --inject-fault=R[:KIND]   fault a fraction R of variants;\n"
-        "                            KIND = error|timeout|crash (test "
-        "hook)\n"
-        "                            DEPRECATED alias for the failpoint\n"
-        "                            framework; prefer VDRAM_FAILPOINTS=\n"
-        "                            runner.task=ACTION@R (see "
-        "docs/runner.md)\n"
         "env:\n"
         "  VDRAM_FAILPOINTS=name=action[:arg][@rate][,...]\n"
         "                            deterministic fault injection at\n"
@@ -338,7 +332,7 @@ printUsage(std::FILE* out)
         "<target> = file.dram | preset:<name>\n"
         "exit codes: 0 ok, 1 runtime, 2 usage, 3 syntax error,\n"
         "4 validation error, 5 interrupted (partial results),\n"
-        "6 unreadable input/checkpoint file\n");
+        "6 unreadable input/checkpoint file, 7 serve-send idle deadline\n");
 }
 
 int
@@ -668,8 +662,7 @@ cmdMonteCarlo(const DramDescription& desc, CampaignFlags flags,
         }
         json.endArray();
         json.key("report");
-        // renderJson() yields a complete object; splice its fields by
-        // re-emitting the counters here to keep one valid document.
+        // The run counters, without the wall-clock fields.
         json.beginObject();
         json.key("total").value(mc.report.total);
         json.key("ok").value(mc.report.ok);
@@ -2196,17 +2189,6 @@ runCli(int argc, char** argv)
         }
         if (arg == "--resume") {
             campaign.runner.resume = true;
-            campaign.explicitFlags = true;
-            continue;
-        }
-        if (startsWith(arg, "--inject-fault=")) {
-            Result<FaultPlan> plan = parseFaultPlan(arg.substr(15));
-            if (!plan.ok()) {
-                std::fprintf(stderr, "--inject-fault: %s\n",
-                             plan.error().toString().c_str());
-                return kExitUsage;
-            }
-            campaign.runner.faultPlan = plan.value();
             campaign.explicitFlags = true;
             continue;
         }
