@@ -10,11 +10,15 @@
  *  - serial streaming evaluation (evaluateTraceStreamFile),
  *  - parallel streaming evaluation (evaluateTraceFileParallel, all
  *    cores),
+ *  - rendering the dense pattern back to text (writeCommandTrace),
  *
  * verifies both streaming results are bit-for-bit identical to the
- * dense result, and writes BENCH_trace.json with the throughput. With
- * --baseline=PATH the run fails when the serial streaming throughput
- * regressed more than 20 % below the recorded baseline.
+ * dense result and that the rendered text parses back to the identical
+ * loop, and writes BENCH_trace.json with the throughput. The run fails
+ * when rendering is slower than a quarter of the serial streaming rate
+ * measured in the same run; with --baseline=PATH it also fails when the
+ * serial streaming throughput regressed more than 20 % below the
+ * recorded baseline.
  */
 #include <chrono>
 #include <cstdio>
@@ -43,6 +47,9 @@ constexpr long long kCommands = 2'000'000;
 constexpr std::uint32_t kSeed = 41;
 /** A run may be at most 20 % slower than the recorded baseline. */
 constexpr double kBaselineTolerance = 0.8;
+/** Rendering must reach this share of the same run's serial streaming
+ *  rate (a same-run ratio, so it holds on any host). */
+constexpr double kMinRenderToSerial = 0.25;
 
 double
 secondsSince(std::chrono::steady_clock::time_point start)
@@ -158,6 +165,15 @@ run(const std::string& baseline_path)
     const PatternPower reference = model.evaluate(dense.value());
     const double dense_seconds = secondsSince(start);
 
+    // Render the dense pattern back to text; it must parse back to the
+    // identical loop.
+    start = std::chrono::steady_clock::now();
+    const std::string rendered = writeCommandTrace(dense.value());
+    const double render_seconds = secondsSince(start);
+    Result<Pattern> reparsed = parseCommandTrace(rendered);
+    const bool render_identical =
+        reparsed.ok() && reparsed.value().loop == dense.value().loop;
+
     // Serial streaming.
     start = std::chrono::steady_clock::now();
     Result<TraceStreamResult> serial =
@@ -197,6 +213,9 @@ run(const std::string& baseline_path)
         parallel_seconds > 0 ? commands / parallel_seconds : 0;
     const double dense_rate =
         dense_seconds > 0 ? commands / dense_seconds : 0;
+    const double render_rate =
+        render_seconds > 0 ? commands / render_seconds : 0;
+    const bool render_ok = render_rate >= kMinRenderToSerial * serial_rate;
     const bool serial_identical = bitIdentical(reference, serial_power);
     const bool parallel_identical =
         bitIdentical(reference, parallel_power);
@@ -207,12 +226,18 @@ run(const std::string& baseline_path)
     std::printf("serial streaming:     %.0f commands/s (%.1f MiB/s)\n",
                 serial_rate,
                 serial_seconds > 0 ? megabytes / serial_seconds : 0);
-    std::printf("parallel streaming:   %.0f commands/s (%d slices)\n\n",
+    std::printf("parallel streaming:   %.0f commands/s (%d slices)\n",
                 parallel_rate, parallel.value().slices);
+    std::printf("render:               %.0f commands/s (%.2fx serial)\n\n",
+                render_rate, serial_rate > 0 ? render_rate / serial_rate : 0);
     std::printf("shape: serial streaming bit-identical to dense: %s\n",
                 serial_identical ? "PASS" : "FAIL");
     std::printf("shape: parallel bit-identical to dense: %s\n",
                 parallel_identical ? "PASS" : "FAIL");
+    std::printf("shape: rendered trace parses back to the dense loop: %s\n",
+                render_identical ? "PASS" : "FAIL");
+    std::printf("gate: render at least %.2fx serial streaming: %s\n",
+                kMinRenderToSerial, render_ok ? "PASS" : "FAIL");
 
     bool baseline_ok = true;
     double baseline_rate = 0;
@@ -252,9 +277,11 @@ run(const std::string& baseline_path)
     json.key("denseCommandsPerSecond").value(dense_rate);
     json.key("serialCommandsPerSecond").value(serial_rate);
     json.key("parallelCommandsPerSecond").value(parallel_rate);
+    json.key("renderCommandsPerSecond").value(render_rate);
     json.key("parallelSlices").value(parallel.value().slices);
     json.key("serialIdenticalToDense").value(serial_identical);
     json.key("parallelIdenticalToDense").value(parallel_identical);
+    json.key("renderedIdenticalToDense").value(render_identical);
     if (!baseline_path.empty())
         json.key("baselineSerialCommandsPerSecond").value(baseline_rate);
     json.key("metrics").rawValue(
@@ -270,7 +297,10 @@ run(const std::string& baseline_path)
         return 1;
     }
 
-    return serial_identical && parallel_identical && baseline_ok ? 0 : 1;
+    return serial_identical && parallel_identical && render_identical &&
+                   render_ok && baseline_ok
+        ? 0
+        : 1;
 }
 
 } // namespace

@@ -7,6 +7,9 @@
 #ifndef VDRAM_CORE_SPEC_H
 #define VDRAM_CORE_SPEC_H
 
+#include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -115,7 +118,7 @@ struct LogicBlock {
  * clocked background; self refresh additionally pays the internally
  * generated refresh charge.
  */
-enum class Op { Act, Pre, Rd, Wr, Nop, Ref, Pdn, Srf };
+enum class Op : std::uint8_t { Act, Pre, Rd, Wr, Nop, Ref, Pdn, Srf };
 
 /** Number of Op values (for flat enum-indexed arrays). */
 constexpr int kOpCount = 8;
@@ -132,6 +135,20 @@ struct Pattern {
     /** Loop length in control clock cycles. */
     int cycles() const { return static_cast<int>(loop.size()); }
 };
+
+/**
+ * A loop length of @p loopSize cycles as a 64-bit count. Pattern::cycles()
+ * is an int and wraps past 2^31 cycles, which one-byte Ops put within
+ * reach (about 2 GB of loop); sizes beyond the long long range saturate.
+ */
+constexpr long long
+cycleCount(std::size_t loopSize)
+{
+    constexpr auto kMax = static_cast<unsigned long long>(
+        std::numeric_limits<long long>::max());
+    return loopSize > kMax ? std::numeric_limits<long long>::max()
+                           : static_cast<long long>(loopSize);
+}
 
 } // namespace vdram
 

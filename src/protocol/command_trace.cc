@@ -1,7 +1,11 @@
 #include "protocol/command_trace.h"
 
+#include <algorithm>
+#include <charconv>
+#include <cstring>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 
 #include "util/strings.h"
 #include "util/units.h"
@@ -93,16 +97,57 @@ loadCommandTraceFile(const std::string& path, long long maxCycles)
 std::string
 writeCommandTrace(const Pattern& pattern)
 {
-    std::string out = "# vdram command trace: <cycle> <command>\n";
-    long long last_emitted = -1;
-    for (size_t i = 0; i < pattern.loop.size(); ++i) {
-        Op op = pattern.loop[i];
-        if (op == Op::Nop && i + 1 != pattern.loop.size())
-            continue;
-        out += strformat("%zu %s\n", i, opName(op).c_str());
-        last_emitted = static_cast<long long>(i);
+    // One line per command plus the trailing-NOP marker that keeps the
+    // loop length. The buffer is sized once for the widest possible
+    // lines (every cycle number as wide as the last one) and trimmed.
+    static constexpr std::string_view kHeader =
+        "# vdram command trace: <cycle> <command>\n";
+    // Mnemonic plus newline, indexed by Op; the same words as opName().
+    struct Mnemonic {
+        char text[4];
+        unsigned char size;
+    };
+    static constexpr Mnemonic kMnemonics[kOpCount] = {
+        {{'a', 'c', 't', '\n'}, 4}, {{'p', 'r', 'e', '\n'}, 4},
+        {{'r', 'd', '\n', 0}, 3},    {{'w', 'r', 't', '\n'}, 4},
+        {{'n', 'o', 'p', '\n'}, 4}, {{'r', 'e', 'f', '\n'}, 4},
+        {{'p', 'd', 'n', '\n'}, 4}, {{'s', 'r', 'f', '\n'}, 4},
+    };
+
+    const std::vector<Op>& loop = pattern.loop;
+    const size_t n = loop.size();
+    const bool trailing_nop = n > 0 && loop.back() == Op::Nop;
+    const size_t lines =
+        n - static_cast<size_t>(std::count(loop.begin(), loop.end(),
+                                           Op::Nop)) +
+        (trailing_nop ? 1 : 0);
+    char widest[24];
+    const size_t digits = n > 0
+        ? static_cast<size_t>(
+              std::to_chars(widest, widest + sizeof widest, n - 1).ptr -
+              widest)
+        : 0;
+
+    std::string out;
+    out.resize(kHeader.size() + lines * (digits + 1 + 4));
+    char* p = out.data();
+    std::memcpy(p, kHeader.data(), kHeader.size());
+    p += kHeader.size();
+    char* const end = out.data() + out.size();
+    auto put = [&](size_t cycle, Op op) {
+        p = std::to_chars(p, end, cycle).ptr;
+        *p++ = ' ';
+        const Mnemonic& m = kMnemonics[static_cast<size_t>(op)];
+        std::memcpy(p, m.text, 4);
+        p += m.size;
+    };
+    for (size_t i = 0; i < n; ++i) {
+        if (loop[i] != Op::Nop)
+            put(i, loop[i]);
     }
-    (void)last_emitted;
+    if (trailing_nop)
+        put(n - 1, Op::Nop);
+    out.resize(static_cast<size_t>(p - out.data()));
     return out;
 }
 

@@ -23,8 +23,8 @@ namespace vdram {
 /**
  * Default cap on the dense expansion, in cycles. Replay materializes
  * one Op per cycle, so the allocation is bounded by this cap (64 Mi
- * cycles ≈ 256 MiB of ops); longer traces belong on the streaming
- * path (`vdram trace`, protocol/trace_stream.h), which never
+ * cycles = 64 MiB of one-byte ops); longer traces belong on the
+ * streaming path (`vdram trace`, protocol/trace_stream.h), which never
  * materializes the loop.
  */
 constexpr long long kDefaultTraceCycleCap = 64LL * 1024 * 1024;

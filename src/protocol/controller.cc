@@ -117,7 +117,11 @@ CommandScheduler::CommandScheduler(const Specification& spec,
         options_.windowSize = 1;
     }
     banks_.resize(static_cast<size_t>(spec.banks()));
-    bankQueues_.resize(banks_.size());
+    windowSize_ = options_.policy == SchedPolicy::InOrder
+        ? 1
+        : static_cast<size_t>(options_.windowSize);
+    bankQueues_.resize(banks_.size() * windowSize_);
+    bankQueueSize_.resize(banks_.size());
 }
 
 void
@@ -135,14 +139,13 @@ CommandScheduler::earliestActivate(const BankState& bank) const
     long long cycle = std::max(bank.lastActivate + timing_.tRc,
                                bank.lastPrecharge + timing_.tRp);
     // tRRD against the most recent activate, tFAW against the fourth
-    // most recent.
-    if (!recentActivates_.empty()) {
-        cycle = std::max(cycle, recentActivates_.back() + timing_.tRrd);
-        if (recentActivates_.size() >= 4) {
-            cycle = std::max(
-                cycle,
-                recentActivates_[recentActivates_.size() - 4] +
-                    timing_.tFaw);
+    // most recent (the ring's oldest slot once it is full).
+    if (recentCount_ > 0) {
+        cycle = std::max(cycle, recentActivates_[(recentNext_ + 3) % 4] +
+                                    timing_.tRrd);
+        if (recentCount_ == 4) {
+            cycle = std::max(cycle, recentActivates_[recentNext_] +
+                                        timing_.tFaw);
         }
     }
     return cycle;
@@ -200,9 +203,9 @@ CommandScheduler::issue(const MemoryAccess& access, long long now,
         bank.open = true;
         bank.row = access.row;
         bank.lastActivate = act_at;
-        recentActivates_.push_back(act_at);
-        if (recentActivates_.size() > 8)
-            recentActivates_.erase(recentActivates_.begin());
+        recentActivates_[recentNext_] = act_at;
+        recentNext_ = (recentNext_ + 1) % 4;
+        recentCount_ = std::min<size_t>(recentCount_ + 1, 4);
         now = act_at + 1;
     }
 
@@ -240,61 +243,60 @@ CommandScheduler::schedule(const std::vector<MemoryAccess>& accesses)
         bank = BankState{};
     lastColumn_ = -1000000;
     lastWriteBurst_ = -1000000;
-    recentActivates_.clear();
-    for (std::deque<size_t>& queue : bankQueues_)
-        queue.clear();
+    recentCount_ = 0;
+    recentNext_ = 0;
+    std::fill(bankQueueSize_.begin(), bankQueueSize_.end(), 0);
 
     ScheduleStats stats;
     long long now = 0;
-
-    const size_t window_size = options_.policy == SchedPolicy::InOrder
-        ? 1
-        : static_cast<size_t>(options_.windowSize);
-
-    // Arrival-ordered reorder window; bankQueues_ index the same
-    // entries per bank for the row-hit scan.
-    std::deque<size_t> window;
     size_t next = 0;
+    size_t pending = 0;
 
-    while (next < accesses.size() || !window.empty()) {
-        while (window.size() < window_size && next < accesses.size()) {
-            window.push_back(next);
-            bankQueues_[static_cast<size_t>(accesses[next].bank)]
-                .push_back(next);
-            ++next;
+    while (next < accesses.size() || pending > 0) {
+        for (; pending < windowSize_ && next < accesses.size(); ++next) {
+            const size_t b = static_cast<size_t>(accesses[next].bank);
+            bankQueues_[b * windowSize_ + bankQueueSize_[b]++] =
+                Pending{accesses[next].row, next};
+            ++pending;
         }
 
         // FR-FCFS: the oldest pending row hit wins; with no hit in the
-        // window, fall back to the globally oldest request (FCFS).
-        // Scanning each bank queue in arrival order keeps same-row
-        // requests of one bank in arrival order, so same-address
-        // dependencies are never reordered.
-        size_t chosen = window.front();
-        if (options_.policy == SchedPolicy::FrFcfs) {
-            size_t best = SIZE_MAX;
-            for (size_t b = 0; b < banks_.size(); ++b) {
-                const BankState& bank = banks_[b];
-                if (!bank.open)
-                    continue;
-                for (size_t idx : bankQueues_[b]) {
-                    if (accesses[idx].row == bank.row) {
-                        best = std::min(best, idx);
-                        break;
-                    }
+        // window, fall back to the globally oldest request (FCFS), the
+        // oldest of the queue heads. Scanning each bank queue in
+        // arrival order keeps same-row requests of one bank in arrival
+        // order, so same-address dependencies are never reordered.
+        size_t oldest = SIZE_MAX;
+        size_t best = SIZE_MAX;
+        for (size_t b = 0; b < banks_.size(); ++b) {
+            const size_t size = bankQueueSize_[b];
+            if (size == 0)
+                continue;
+            const Pending* queue = &bankQueues_[b * windowSize_];
+            oldest = std::min(oldest, queue[0].index);
+            const BankState& bank = banks_[b];
+            if (options_.policy != SchedPolicy::FrFcfs || !bank.open)
+                continue;
+            for (size_t k = 0; k < size; ++k) {
+                if (queue[k].row == bank.row) {
+                    best = std::min(best, queue[k].index);
+                    break;
                 }
             }
-            if (best != SIZE_MAX)
-                chosen = best;
         }
-        if (chosen != window.front())
+        const size_t chosen = best != SIZE_MAX ? best : oldest;
+        if (chosen != oldest)
             ++stats.reordered;
 
         now = issue(accesses[chosen], now, stats);
 
-        window.erase(std::find(window.begin(), window.end(), chosen));
-        std::deque<size_t>& queue =
-            bankQueues_[static_cast<size_t>(accesses[chosen].bank)];
-        queue.erase(std::find(queue.begin(), queue.end(), chosen));
+        const size_t b = static_cast<size_t>(accesses[chosen].bank);
+        Pending* queue = &bankQueues_[b * windowSize_];
+        Pending* queue_end = queue + bankQueueSize_[b]--;
+        Pending* slot = queue;
+        while (slot->index != chosen)
+            ++slot;
+        std::copy(slot + 1, queue_end, slot);
+        --pending;
     }
 
     // Drain: close every open bank and pad one row cycle so the stream
@@ -313,7 +315,7 @@ CommandScheduler::schedule(const std::vector<MemoryAccess>& accesses)
 
     ScheduledStream result;
     result.pattern.loop = std::move(stream_);
-    stats.cycles = result.pattern.cycles();
+    stats.cycles = cycleCount(result.pattern.loop.size());
     result.stats = stats;
     stream_.clear();
     return result;

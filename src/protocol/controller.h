@@ -12,7 +12,7 @@
 #ifndef VDRAM_PROTOCOL_CONTROLLER_H
 #define VDRAM_PROTOCOL_CONTROLLER_H
 
-#include <deque>
+#include <array>
 #include <vector>
 
 #include "core/spec.h"
@@ -53,9 +53,10 @@ struct SchedulerOptions {
     SchedPolicy policy = SchedPolicy::InOrder;
     /**
      * FR-FCFS reorder window: how many pending requests the scheduler
-     * may look past the oldest one. 1 degenerates to in-order; larger
-     * windows find more row hits but delay old misses longer (the
-     * bound is what keeps FR-FCFS starvation-free).
+     * considers at once. 1 degenerates to in-order; larger windows
+     * find more row hits but delay old misses longer. The window
+     * refills after every issue, so it does not bound how often an old
+     * miss is passed: steady hits to an open row pass it every time.
      */
     int windowSize = 16;
 };
@@ -147,10 +148,26 @@ class CommandScheduler {
     std::vector<BankState> banks_;
     long long lastColumn_ = -1000000;
     long long lastWriteBurst_ = -1000000; ///< rank-wide, for tWTR
-    std::vector<long long> recentActivates_;
-    /** Per-bank FIFO of pending window entries (indices into the
-     *  access stream, which is arrival order). */
-    std::vector<std::deque<size_t>> bankQueues_;
+    /** The last four activates, a ring: tRRD needs the newest, tFAW
+     *  the fourth newest. recentNext_ is the slot the next one takes
+     *  (the oldest once the ring is full). */
+    std::array<long long, 4> recentActivates_{};
+    size_t recentCount_ = 0;
+    size_t recentNext_ = 0;
+    /** Reorder-window capacity: 1 in order, windowSize under FR-FCFS. */
+    size_t windowSize_ = 1;
+    /** A pending window entry: its row, and its index into the access
+     *  stream (which is arrival order). */
+    struct Pending {
+        long long row;
+        size_t index;
+    };
+    /** The reorder window as per-bank FIFOs, flat: bank b's entries
+     *  occupy bankQueues_[b * windowSize_ ...], oldest first, and number
+     *  bankQueueSize_[b]. Sized once; together they hold at most
+     *  windowSize_. */
+    std::vector<Pending> bankQueues_;
+    std::vector<size_t> bankQueueSize_;
 };
 
 /**

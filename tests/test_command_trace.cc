@@ -1,10 +1,14 @@
 /**
  * @file
- * Command-trace tests: parsing, NOP gap filling, round trips and power
- * evaluation of replayed traces.
+ * Command-trace tests: parsing, NOP gap filling, round trips, power
+ * evaluation of replayed traces, and the renderer against its reference
+ * twin.
  */
 #include <gtest/gtest.h>
 
+#include <random>
+
+#include "command_trace_reference.h"
 #include "core/model.h"
 #include "presets/presets.h"
 #include "protocol/command_trace.h"
@@ -103,6 +107,84 @@ TEST(CommandTraceTest, RejectsDenseExpansionOverCap)
     EXPECT_TRUE(parseCommandTrace("99 ACT\n", 100).ok());
     // Cap 0 disables the guard (library callers that pre-validate).
     EXPECT_TRUE(parseCommandTrace("200 ACT\n", 0).ok());
+}
+
+constexpr Op kAllOps[] = {Op::Act, Op::Pre, Op::Rd,  Op::Wr,
+                          Op::Nop, Op::Ref, Op::Pdn, Op::Srf};
+
+/** Render @p pattern with both renderers; they must agree byte for byte,
+ *  and the text must parse back to the same loop. */
+void
+expectRendersLikeReference(const Pattern& pattern, const std::string& what)
+{
+    const std::string text = writeCommandTrace(pattern);
+    ASSERT_EQ(text, writeCommandTraceReference(pattern)) << what;
+    if (pattern.loop.empty())
+        return;
+    Result<Pattern> reparsed = parseCommandTrace(text, 0);
+    ASSERT_TRUE(reparsed.ok()) << what;
+    EXPECT_TRUE(reparsed.value().loop == pattern.loop) << what;
+}
+
+TEST(CommandTraceRenderTest, EdgeLoopsMatchReference)
+{
+    expectRendersLikeReference(Pattern{}, "empty loop");
+    expectRendersLikeReference(Pattern{{Op::Nop}}, "one NOP");
+    expectRendersLikeReference(Pattern{std::vector<Op>(7, Op::Nop)},
+                               "all-NOP loop");
+    expectRendersLikeReference(Pattern{{Op::Act, Op::Nop, Op::Nop}},
+                               "trailing NOP");
+    expectRendersLikeReference(Pattern{{Op::Nop, Op::Nop, Op::Pre}},
+                               "trailing command");
+    for (Op op : kAllOps) {
+        expectRendersLikeReference(Pattern{{op}},
+                                   "single " + opName(op));
+        expectRendersLikeReference(Pattern{{Op::Nop, op, Op::Nop}},
+                                   "inner " + opName(op));
+    }
+}
+
+TEST(CommandTraceRenderTest, DigitWidthBoundariesMatchReference)
+{
+    // Commands on both sides of every power of ten up to 10^7, ending
+    // once on a command and once on a NOP marker.
+    for (Op last : {Op::Srf, Op::Nop}) {
+        Pattern pattern;
+        pattern.loop.assign(10'000'002, Op::Nop);
+        size_t k = 0;
+        for (size_t power = 1; power <= 10'000'000; power *= 10) {
+            pattern.loop[power - 1] = kAllOps[k++ % kOpCount];
+            pattern.loop[power] = kAllOps[k++ % kOpCount];
+        }
+        pattern.loop.back() = last;
+        expectRendersLikeReference(pattern, "to 10^7, last " +
+                                                opName(last));
+        // Loops whose last cycle sits exactly on a width boundary.
+        for (size_t size : {10, 11, 100, 101, 1000, 1001}) {
+            Pattern cut{std::vector<Op>(pattern.loop.begin(),
+                                        pattern.loop.begin() +
+                                            static_cast<long>(size))};
+            expectRendersLikeReference(cut,
+                                       "size " + std::to_string(size));
+        }
+    }
+}
+
+TEST(CommandTraceRenderTest, SeededRandomPatternsMatchReference)
+{
+    std::mt19937 rng(20101);
+    for (int round = 0; round < 300; ++round) {
+        // Mostly NOPs, as a schedule is; the density varies per round.
+        const unsigned nop_share = rng() % 10;
+        Pattern pattern;
+        pattern.loop.resize(rng() % 3000);
+        for (Op& op : pattern.loop) {
+            op = rng() % 10 < nop_share ? Op::Nop
+                                        : kAllOps[rng() % kOpCount];
+        }
+        expectRendersLikeReference(pattern,
+                                   "round " + std::to_string(round));
+    }
 }
 
 } // namespace

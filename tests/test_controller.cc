@@ -6,6 +6,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <climits>
+#include <cstdint>
 #include <set>
 
 #include "core/builder.h"
@@ -317,6 +319,50 @@ TEST_F(ControllerTest, SchedulerEnforcesWriteToReadTurnaround)
     ASSERT_GE(wr_at, 0);
     ASSERT_GE(rd_at, 0);
     EXPECT_GE(rd_at - wr_at, timing_.burstCycles + timing_.tWtr);
+}
+
+TEST_F(ControllerTest, CycleCountDoesNotWrapPast2To31)
+{
+    // The conversion ScheduleStats::cycles goes through; an int count
+    // wraps at 2^31 cycles, which a 2 GB one-byte-Op stream reaches.
+    EXPECT_EQ(cycleCount(0), 0);
+    EXPECT_EQ(cycleCount(size_t{1} << 31), 2147483648LL);
+    EXPECT_EQ(cycleCount(size_t{5'000'000'000}), 5'000'000'000LL);
+    EXPECT_EQ(cycleCount(SIZE_MAX), LLONG_MAX);
+
+    CommandScheduler scheduler(spec_, timing_, PagePolicy::OpenPage);
+    ScheduledStream stream = mustSchedule(scheduler, {{false, 0, 10, 0}});
+    EXPECT_EQ(stream.stats.cycles,
+              static_cast<long long>(stream.pattern.loop.size()));
+}
+
+TEST_F(ControllerTest, FourActivateWindowBindsOnTheFourthNewest)
+{
+    // With the device's timing, tRCD spaces in-order activates so far
+    // apart that tFAW never binds. Shrink tRCD and tRRD and widen tFAW
+    // until it does: the fifth activate must wait exactly tFAW after
+    // the first, i.e. behind the fourth newest, not the third.
+    TimingParams timing = timing_;
+    timing.tRcd = 1;
+    timing.tRrd = 2;
+    timing.tFaw = 40;
+    CommandScheduler scheduler(spec_, timing, PagePolicy::OpenPage);
+    std::vector<MemoryAccess> accesses;
+    for (int bank = 0; bank < spec_.banks(); ++bank)
+        accesses.push_back({false, bank, 3, 0});
+    ScheduledStream stream = mustSchedule(scheduler, accesses);
+    std::vector<long long> acts;
+    for (size_t i = 0; i < stream.pattern.loop.size(); ++i) {
+        if (stream.pattern.loop[i] == Op::Act)
+            acts.push_back(static_cast<long long>(i));
+    }
+    ASSERT_EQ(acts.size(), accesses.size());
+    ASSERT_GE(acts.size(), 5u);
+    EXPECT_EQ(acts[4] - acts[0], timing.tFaw);
+    for (size_t k = 1; k < acts.size(); ++k)
+        EXPECT_GE(acts[k] - acts[k - 1], timing.tRrd) << "act " << k;
+    for (size_t k = 4; k < acts.size(); ++k)
+        EXPECT_GE(acts[k] - acts[k - 4], timing.tFaw) << "act " << k;
 }
 
 } // namespace

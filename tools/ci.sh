@@ -278,7 +278,7 @@ echo "== fit convergence gate =="
 test -s build/BENCH_fit.json
 
 echo "== streaming bounded-memory smoke (100M-cycle trace) =="
-# Dense replay of this trace would need a ~400 MB Op vector and is
+# Dense replay of this trace would need a 100 MB Op vector and is
 # rejected (E-TRACE-TOO-LONG); the streamer must evaluate it inside a
 # 256 MiB address-space limit.
 awk 'BEGIN {

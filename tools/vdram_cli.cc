@@ -29,6 +29,7 @@
  */
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
@@ -2339,5 +2340,21 @@ main(int argc, char** argv)
         g_argv0 = argv[0];
     int code = runCli(argc, argv);
     writeObservabilityOutputs();
+    // Commands print their results without checking each write; a full
+    // disk or a closed descriptor shows up once here, when stdout is
+    // flushed.
+    // An earlier failure keeps its own exit code.
+    errno = 0;
+    const bool flushed = std::fflush(stdout) == 0;
+    if (!flushed || std::ferror(stdout)) {
+        Error error;
+        error.code = "E-IO-WRITE";
+        error.message = "cannot write standard output";
+        if (!flushed && errno != 0)
+            error.message += std::string(": ") + std::strerror(errno);
+        std::fprintf(stderr, "%s\n", error.toString().c_str());
+        if (code == kExitOk)
+            code = exitCodeForError(error);
+    }
     return code;
 }
