@@ -61,7 +61,8 @@ loadTraceFile(const std::string& path)
 {
     std::ifstream file(path);
     if (!file)
-        return Error{"cannot open trace file '" + path + "'"};
+        return Error{"cannot open trace file '" + path + "'", 0, 0, path,
+                     "E-IO-OPEN"};
     std::ostringstream buffer;
     buffer << file.rdbuf();
     return parseTrace(buffer.str());

@@ -6,10 +6,9 @@
 #include <thread>
 #include <vector>
 
-#include "dsl/parser.h"
-#include "dsl/writer.h"
 #include "presets/presets.h"
 #include "serve/line_server.h"
+#include "serve/model_cache.h"
 #include "serve/protocol.h"
 #include "util/failpoint.h"
 #include "util/metrics.h"
@@ -28,26 +27,23 @@ secondsSince(Clock::time_point from)
 }
 
 /**
- * The routing key of a `load`: the fnv1a64 of the canonical
- * description text — identical to the key the workers use for their
- * model caches, so one model's sessions converge on one worker and
- * its cache stays hot. Unparsable text hashes raw (the worker will
- * reject it; it just needs *a* deterministic home).
+ * The routing key of a `load`: the worker's model-cache key, so one
+ * model's sessions converge on one worker and its cache stays hot. A
+ * text load hashes its raw bytes without parsing them; for canonical
+ * text (what writeDescription() emits) that is the cache key itself.
+ * Another spelling of the same device may land on another worker,
+ * which costs cache affinity only, never a different answer.
  */
 std::uint64_t
 loadRoutingHash(const ServeRequest& request)
 {
-    if (!request.preset.empty()) {
-        for (const NamedPreset& preset : namedPresets()) {
-            if (preset.name == request.preset)
-                return fnv1a64(writeDescription(preset.build()));
-        }
-        return fnv1a64("preset:" + request.preset);
+    if (request.preset.empty())
+        return fnv1a64(request.text);
+    for (const NamedPreset& preset : namedPresets()) {
+        if (preset.name == request.preset)
+            return canonicalForm(preset.build()).key;
     }
-    Result<DramDescription> parsed = parseDescription(request.text);
-    if (parsed.ok())
-        return fnv1a64(writeDescription(parsed.value()));
-    return fnv1a64(request.text);
+    return fnv1a64("preset:" + request.preset);
 }
 
 /** Mark a relayed response as served by a replacement worker. */

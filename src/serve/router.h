@@ -4,9 +4,10 @@
  * the exact newline-JSON serve protocol, fanning client sessions out
  * to the supervised worker daemons.
  *
- * Routing: a session is bound to a worker by the fnv1a64 hash of its
- * loaded model's canonical description (the same key the workers use
- * for their model caches), so repeated loads of one model land on one
+ * Routing: a session is bound to a worker by the fnv1a64 hash of what
+ * it loads: a preset's canonical description, or a text load's raw
+ * bytes, unparsed. For canonical text both are the key the workers use
+ * for their model caches, so repeated loads of one model land on one
  * worker and stay cache-hot. Before a session loads anything it is
  * spread round-robin.
  *

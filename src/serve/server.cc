@@ -16,7 +16,6 @@
 #include "core/sensitivity.h"
 #include "core/variant_evaluator.h"
 #include "dsl/parser.h"
-#include "dsl/writer.h"
 #include "presets/presets.h"
 #include "protocol/idd.h"
 #include "runner/worker_pool.h"
@@ -96,6 +95,19 @@ measureByName(const std::string& lower)
     }
     return Error{"unknown IDD measure '" + lower + "'", 0, 0, "",
                  "E-SERVE-REQUEST"};
+}
+
+/** The description a `load` names: a preset, or parsed text. */
+Result<DramDescription>
+requestedDescription(const ServeRequest& request)
+{
+    if (request.preset.empty())
+        return parseDescription(request.text);
+    for (const NamedPreset& preset : namedPresets()) {
+        if (preset.name == request.preset)
+            return preset.build();
+    }
+    return Error{"unknown preset '" + request.preset + "'"};
 }
 
 class Server {
@@ -371,52 +383,45 @@ Server::handleRequest(Session& session, const ServeRequest& request,
         return json.str();
     }
     case ServeOp::Load: {
-        DramDescription desc;
-        if (!request.preset.empty()) {
-            bool found = false;
-            for (const NamedPreset& preset : namedPresets()) {
-                if (preset.name == request.preset) {
-                    desc = preset.build();
-                    found = true;
-                    break;
-                }
-            }
-            if (!found) {
-                return renderServeError(request.id, "E-SERVE-REQUEST",
-                                        "unknown preset '" +
-                                            request.preset + "'");
-            }
-        } else {
-            Result<DramDescription> parsed =
-                parseDescription(request.text);
-            if (!parsed.ok()) {
-                const Error& error = parsed.error();
-                return renderServeError(
-                    request.id,
-                    error.code.empty() ? "E-SERVE-REQUEST" : error.code,
-                    error.toString());
-            }
-            desc = std::move(parsed).value();
+        auto loadError = [&request](const Error& error) {
+            return renderServeError(
+                request.id,
+                error.code.empty() ? "E-SERVE-REQUEST" : error.code,
+                error.toString());
+        };
+        // Text the cache holds byte for byte was parsed, validated and
+        // keyed by an earlier load: build straight from its snapshot.
+        std::uint64_t key = 0;
+        std::shared_ptr<const DramDescription> snapshot;
+        if (request.preset.empty()) {
+            key = fnv1a64(request.text);
+            snapshot = cache_.find(key, request.text);
         }
-
-        // One build route for a hit and a miss: the cache holds the
-        // validated *input* description, never a built model's resolved
-        // copy, so the model (and how it re-resolves an auto floorplan
-        // under a structural perturb) is the same either way.
-        const std::uint64_t key = fnv1a64(writeDescription(desc));
-        std::shared_ptr<const DramDescription> snapshot =
-            cache_.get(key);
-        const bool cached = snapshot != nullptr;
+        bool cached = snapshot != nullptr;
         if (!cached) {
-            Status valid = validateDescription(desc);
-            if (!valid.ok()) {
-                const Error& error = valid.error();
-                return renderServeError(
-                    request.id,
-                    error.code.empty() ? "E-SERVE-REQUEST" : error.code,
-                    error.toString());
+            Result<DramDescription> desc = requestedDescription(request);
+            if (!desc.ok())
+                return loadError(desc.error());
+            // One build route for a hit and a miss: the cache holds the
+            // validated *input* description, never a built model's
+            // resolved copy, so the model (and how it re-resolves an
+            // auto floorplan under a structural perturb) is the same
+            // either way. Text sent already canonical is recorded with
+            // its entry, so its next load takes the path above.
+            CanonicalForm canonical = canonicalForm(desc.value());
+            key = canonical.key;
+            std::string text = request.text == canonical.text
+                                   ? std::move(canonical.text)
+                                   : std::string();
+            snapshot = cache_.get(key, text);
+            cached = snapshot != nullptr;
+            if (!cached) {
+                Status valid = validateDescription(desc.value());
+                if (!valid.ok())
+                    return loadError(valid.error());
+                snapshot = cache_.put(key, std::move(desc).value(),
+                                      std::move(text));
             }
-            snapshot = cache_.put(key, std::move(desc));
         }
         session.evaluator = std::make_unique<VariantEvaluator>(
             DramPowerModel(*snapshot));

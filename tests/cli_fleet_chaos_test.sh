@@ -68,6 +68,31 @@ for c in 1 2 3; do
     ) &
 done
 
+# One more flood client loads the same device as DSL text (the emitted,
+# JSON-escaped description), so text loads ride the kill -9 failover
+# and its replay too.
+TEXTBATCH="$DIR/textbatch.txt"
+{
+    printf '{"id":1,"op":"load","text":"'
+    "$CLI" emit preset:ddr2_1g_75 |
+        sed 's/\\/\\\\/g; s/"/\\"/g' | awk '{ printf "%s\\n", $0 }'
+    printf '"}\n'
+    n=2
+    while [ $n -le 20 ]; do
+        printf '{"id":%d,"op":"evaluate"}\n' "$n"
+        printf '{"id":%d,"op":"perturb","param":"Cell capacitance","factor":1.1}\n' "$((n + 1))"
+        n=$((n + 2))
+    done
+} > "$TEXTBATCH"
+(
+    k=0
+    while [ $k -lt 20 ]; do
+        "$CLI" serve-send --socket="$SOCK" < "$TEXTBATCH" \
+            >> "$DIR/textclient.out" 2>> "$DIR/textclient.err" || break
+        k=$((k + 1))
+    done
+) &
+
 # The victim session: one slow batch on ONE connection (one fleet
 # session), so the kill lands while the session is in flight and the
 # router must fail it over. Evaluations are not replayed (only the
@@ -187,6 +212,13 @@ if [ "$(bfield invariantHolds)" != "true" ]; then
 fi
 if [ "$(bfield workersDrained)" != "true" ]; then
     echo "FAIL: not every worker drained to exit 5: $STATS" >&2
+    exit 1
+fi
+
+# The text client's loads were answered (parsed or cache hits alike).
+if ! grep -q '"id":1,"ok":true,"device":"1Gb DDR2-800' "$DIR/textclient.out"; then
+    echo "FAIL: no DSL text load was answered" >&2
+    head -3 "$DIR/textclient.out" "$DIR/textclient.err" >&2 || true
     exit 1
 fi
 

@@ -81,10 +81,12 @@ c sensitivity.grouped 0 3361265039-2112 '' sensitivity "$T"
 c sensitivity.detailed 0 2698159517-7254 '' sensitivity "$T" --detailed
 c sensitivity.flag_first 0 2698159517-7254 '' sensitivity --detailed "$T"
 c sensitivity.surplus 2 4294967295-0 "unknown argument 'extra'" sensitivity "$T" extra --detailed
+c sensitivity.checkpoint_unopenable 6 4294967295-0 'E-CKPT-OPEN' sensitivity "$T" "$NOCKPT"
 c trends.box 0 1473410455-1404 '' trends
 c trends.csv 0 892905873-669 '' trends --csv
 c trends.surplus 2 4294967295-0 "unknown argument 'extra'" trends extra --csv
 c trends.unknown_flag 2 4294967295-0 'unknown flag' trends --json
+c trends.checkpoint_unopenable 6 4294967295-0 'E-CKPT-OPEN' trends "$NOCKPT"
 
 # --- montecarlo -------------------------------------------------------
 c montecarlo.ok 0 2475300712-783 '' montecarlo "$T" --samples=20 --seed=3
@@ -100,6 +102,7 @@ c montecarlo.seed.lo 0 354054579-783 '' montecarlo "$T" --samples=5 --seed=0
 c montecarlo.seed.hi 0 911515042-783 '' montecarlo "$T" --samples=5 --seed=9223372036854775807
 c montecarlo.seed.below 2 4294967295-0 '--seed' montecarlo "$T" --samples=5 --seed=-1
 c montecarlo.seed.nan 2 4294967295-0 '--seed' montecarlo "$T" --samples=5 --seed=abc
+c montecarlo.seed.overflow 2 4294967295-0 '--seed.*\[0, 9223372036854775807\]' montecarlo "$T" --samples=5 --seed=99999999999999999999
 c montecarlo.unknown_flag 2 4294967295-0 'unknown flag' montecarlo "$T" --sample=5
 
 # --- sweep ------------------------------------------------------------
@@ -114,6 +117,7 @@ c sweep.nan 2 4294967295-0 'bad factor' sweep "$T" "Bitline capacitance" abc
 c sweep.unknown_parameter 2 4294967295-0 'unknown parameter' sweep "$T" bogus 1.0
 c sweep.no_factor 2 4294967295-0 'usage' sweep "$T" "Bitline capacitance"
 c sweep.no_parameter 2 4294967295-0 'usage' sweep "$T"
+c sweep.checkpoint_unopenable 6 4294967295-0 'E-CKPT-OPEN' sweep "$T" "Bitline capacitance" 1.0 "$NOCKPT"
 
 # --- fit --------------------------------------------------------------
 c fit.list_parameters 0 977725506-2227 '' fit --list-parameters
@@ -178,6 +182,7 @@ c fit.seed.lo 6 4294967295-0 'E-IO-OPEN' fit "$T" "$NOFIT" --seed=0
 c fit.seed.hi 6 4294967295-0 'E-IO-OPEN' fit "$T" "$NOFIT" --seed=9223372036854775807
 c fit.seed.below 2 4294967295-0 '--seed' fit "$T" "$NOFIT" --seed=-1
 c fit.seed.nan 2 4294967295-0 '--seed' fit "$T" "$NOFIT" --seed=abc
+c fit.seed.overflow 2 4294967295-0 '--seed.*\[0, 9223372036854775807\]' fit "$T" "$NOFIT" --seed=99999999999999999999
 c fit.unknown_flag 2 4294967295-0 'unknown flag' fit "$T" "$NOFIT" --bogus
 
 # --- workload, gen-trace ----------------------------------------------
@@ -186,7 +191,7 @@ c workload.closed 0 3993223672-1027 '' workload "$T" w.trace --closed
 c workload.flag_first 0 3993223672-1027 '' workload "$T" --closed w.trace
 c workload.surplus 2 4294967295-0 "unknown argument 'extra'" workload "$T" w.trace extra --closed
 c workload.no_trace 2 4294967295-0 'usage' workload "$T"
-c workload.unopenable 1 4294967295-0 'cannot open' workload "$T" /nonexistent.trace
+c workload.unopenable 6 4294967295-0 'E-IO-OPEN' workload "$T" /nonexistent.trace
 c gen_trace.ok 0 3937580489-102 '' gen-trace "$T" random 5
 c gen_trace.default_count 0 1982186526-9162 '' gen-trace "$T" stream
 c gen_trace.count.lo 0 59703021-54 '' gen-trace "$T" random 1

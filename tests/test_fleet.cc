@@ -20,9 +20,12 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "dsl/writer.h"
 #include "loopback_port.h"
+#include "presets/presets.h"
 #include "serve/fleet.h"
 #include "serve/line_server.h"
 #include "serve/router.h"
@@ -30,6 +33,7 @@
 #include "serve/supervisor.h"
 #include "util/backoff.h"
 #include "util/failpoint.h"
+#include "util/json.h"
 #include "util/result.h"
 #include "util/subprocess.h"
 
@@ -412,6 +416,35 @@ class FleetHarness {
         return 0;
     }
 
+    /** Wait until workers 0..@p count-1 have each reported ready, so
+     *  the routing pick sees every slot. */
+    bool awaitWorkersReady(int count, double timeoutSeconds)
+    {
+        auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::duration<double>(timeoutSeconds);
+        for (;;) {
+            int ready = 0;
+            {
+                std::lock_guard<std::mutex> lock(eventsMutex_);
+                for (int i = 0; i < count; ++i) {
+                    const std::string needle =
+                        "worker " + std::to_string(i) + " ready";
+                    for (const std::string& event : events_) {
+                        if (event.find(needle) != std::string::npos) {
+                            ++ready;
+                            break;
+                        }
+                    }
+                }
+            }
+            if (ready == count)
+                return true;
+            if (std::chrono::steady_clock::now() >= deadline)
+                return false;
+            std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        }
+    }
+
     FleetStats stop()
     {
         stop_.store(true);
@@ -593,6 +626,52 @@ TEST(FleetEndToEndTest, FailoverReplaysSessionAfterWorkerKill)
     EXPECT_GE(stats.router.failovers, 1);
     EXPECT_GE(stats.supervisor.restarts, 1);
     EXPECT_TRUE(stats.drained);
+    EXPECT_TRUE(stats.invariantHolds());
+}
+
+TEST(FleetEndToEndTest, SameCanonicalTextFindsTheWarmWorker)
+{
+    // The router hashes a text load's raw bytes and a preset load's
+    // canonical text; for canonical text both are the worker's cache
+    // key. So sessions loading a preset by name, then as its canonical
+    // text, then as that text again all land on the worker the first
+    // one warmed: the second hits via the parse path, the third via the
+    // byte-equal fast path. Three workers and three devices make a key
+    // mismatch show up as a miss.
+    FleetHarness fleet(3, "affinity");
+    ASSERT_TRUE(fleet.ready());
+    ASSERT_TRUE(fleet.awaitWorkersReady(3, 10.0));
+
+    for (const char* name : {"ddr3_1g_55", "ddr2_1g_75", "sdr128m"}) {
+        std::string text;
+        for (const NamedPreset& preset : namedPresets()) {
+            if (preset.name == name)
+                text = writeDescription(preset.build());
+        }
+        ASSERT_FALSE(text.empty()) << name;
+        const std::string byName =
+            std::string("{\"id\":1,\"op\":\"load\",\"preset\":\"") + name +
+            "\"}";
+        const std::string byText = "{\"id\":1,\"op\":\"load\",\"text\":\"" +
+                                   JsonWriter::escape(text) + "\"}";
+        const std::pair<const std::string*, const char*> sessions[] = {
+            {&byName, "\"cached\":false"},
+            {&byText, "\"cached\":true"},
+            {&byText, "\"cached\":true"}};
+        for (const auto& [load, cached] : sessions) {
+            SessionClient client;
+            ASSERT_TRUE(client.connectTo(fleet.frontSocket()));
+            Result<std::string> loaded = client.request(*load);
+            ASSERT_TRUE(loaded.ok()) << loaded.error().toString();
+            EXPECT_NE(loaded.value().find("\"ok\":true"), std::string::npos)
+                << loaded.value();
+            EXPECT_NE(loaded.value().find(cached), std::string::npos)
+                << name << ": " << loaded.value();
+        }
+    }
+
+    FleetStats stats = fleet.stop();
+    ASSERT_TRUE(fleet.finishedOk());
     EXPECT_TRUE(stats.invariantHolds());
 }
 

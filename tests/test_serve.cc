@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,6 +25,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "core/description.h"
 #include "core/sensitivity.h"
 #include "loopback_port.h"
 #include "protocol/idd.h"
@@ -33,6 +35,7 @@
 #include "dsl/writer.h"
 #include "presets/presets.h"
 #include "util/failpoint.h"
+#include "util/json.h"
 #include "util/strings.h"
 
 namespace vdram {
@@ -195,6 +198,40 @@ TEST(ModelCacheTest, CanonicalTextHashingSharesEntries)
               fnv1a64(writeDescription(preset128MbSdr170())));
 }
 
+TEST(ModelCacheTest, TextLookupHitsOnlyOnByteEquality)
+{
+    // find() answers only for the exact bytes a load recorded; every
+    // other probe misses without counting, so each load still counts
+    // one hit or one miss.
+    ModelCache cache(2);
+    const DramDescription desc = preset2GbDdr3_55();
+    const CanonicalForm canonical = canonicalForm(desc);
+    EXPECT_EQ(cache.find(canonical.key, canonical.text), nullptr);
+    cache.put(canonical.key, desc); // a preset load records no text
+    EXPECT_EQ(cache.find(canonical.key, canonical.text), nullptr);
+    EXPECT_NE(cache.get(canonical.key, canonical.text), nullptr);
+    EXPECT_NE(cache.find(canonical.key, canonical.text), nullptr);
+
+    std::string flipped = canonical.text;
+    flipped[flipped.size() / 2] ^= 1;
+    EXPECT_EQ(cache.find(canonical.key, flipped), nullptr);
+    EXPECT_EQ(cache.find(canonical.key, canonical.text + "\n"), nullptr);
+    EXPECT_EQ(cache.find(canonical.key, ""), nullptr);
+    EXPECT_EQ(cache.find(canonical.key + 1, canonical.text), nullptr);
+    EXPECT_EQ(cache.hits(), 2);
+    EXPECT_EQ(cache.misses(), 0);
+
+    // put() records text as well, and an eviction takes it along.
+    const CanonicalForm other = canonicalForm(preset128MbSdr170());
+    cache.put(other.key, preset128MbSdr170(), other.text);
+    EXPECT_NE(cache.find(other.key, other.text), nullptr);
+    cache.put(3, desc); // evicts the least recent: the 2Gb entry
+    EXPECT_EQ(cache.find(canonical.key, canonical.text), nullptr);
+    EXPECT_EQ(cache.hits(), 3);
+    EXPECT_EQ(cache.misses(), 0);
+    EXPECT_EQ(cache.evictions(), 1);
+}
+
 // ---------------------------------------------------------------------
 // End-to-end daemon behaviour
 // ---------------------------------------------------------------------
@@ -308,6 +345,253 @@ TEST(ServeDaemonTest, CacheHitAnswersLikeAMiss)
         }
     }
     EXPECT_EQ(mismatches, 0);
+}
+
+std::string
+textLoad(long long id, const std::string& text)
+{
+    return strformat("{\"id\":%lld,\"op\":\"load\",\"text\":\"", id) +
+           JsonWriter::escape(text) + "\"}\n";
+}
+
+std::string
+presetLoad(long long id, const std::string& name)
+{
+    return strformat("{\"id\":%lld,\"op\":\"load\",\"preset\":\"%s\"}\n",
+                     id, name.c_str());
+}
+
+std::string
+presetText(const std::string& name)
+{
+    for (const NamedPreset& preset : namedPresets()) {
+        if (preset.name == name)
+            return writeDescription(preset.build());
+    }
+    ADD_FAILURE() << "no preset " << name;
+    return {};
+}
+
+/** @p reply with its "cached" flag cleared, for comparing a hit with a
+ *  miss. */
+std::string
+uncached(std::string reply)
+{
+    const std::string hit = "\"cached\":true";
+    std::size_t at = reply.find(hit);
+    if (at != std::string::npos)
+        reply.replace(at, hit.size(), "\"cached\":false");
+    return reply;
+}
+
+TEST(ServeDaemonTest, ScriptedLoadsCountOneHitOrMissEach)
+{
+    // Two slots, three models, loaded as presets, canonical text and a
+    // commented spelling. Whichever path answers it, each load counts
+    // one hit or one miss in plain LRU order: the text fast path adds
+    // no count of its own.
+    const std::string a = presetText("ddr3_2g_55");
+    const std::string b = presetText("ddr3_1g_55");
+    const std::string c = presetText("sdr128m");
+    const std::string batch =
+        textLoad(1, a) +                     // miss
+        textLoad(2, a) +                     // hit (fast path)
+        presetLoad(3, "ddr3_2g_55") +        // hit
+        textLoad(4, b) +                     // miss
+        presetLoad(5, "sdr128m") +           // miss, evicts a
+        textLoad(6, a) +                     // miss, evicts b
+        textLoad(7, "# respelled\n" + a) +   // hit (parse path)
+        textLoad(8, c) +                     // hit, records c's text
+        textLoad(9, c) +                     // hit (fast path)
+        presetLoad(10, "ddr3_1g_55") +       // miss, evicts a
+        "{\"id\":11,\"op\":\"stats\"}\n";
+    const char* cachedFlags[] = {"false", "true",  "true",  "false",
+                                 "false", "false", "true",  "true",
+                                 "true",  "false"};
+
+    ServeOptions options = baseOptions("script");
+    options.cacheCapacity = 2;
+    DaemonFixture daemon(options);
+    ASSERT_TRUE(daemon.ready());
+    Result<std::string> sent = daemon.send(batch);
+    ASSERT_TRUE(sent.ok()) << sent.error().toString();
+    std::vector<std::string> replies = lines(sent.value());
+    ASSERT_EQ(replies.size(), 11u);
+    for (int i = 0; i < 10; ++i) {
+        EXPECT_NE(replies[i].find(std::string("\"cached\":") +
+                                  cachedFlags[i]),
+                  std::string::npos)
+            << "load " << i + 1 << ": " << replies[i];
+    }
+    EXPECT_NE(replies[10].find("\"cacheHits\":5"), std::string::npos)
+        << replies[10];
+    EXPECT_NE(replies[10].find("\"cacheMisses\":5"), std::string::npos);
+    EXPECT_NE(replies[10].find("\"cacheEvictions\":3"), std::string::npos);
+}
+
+TEST(ServeDaemonTest, WarmTextLoadsAnswerLikeCold)
+{
+    // Canonical texts of every preset and of seeded perturbed variants:
+    // load, perturb, all 11 IDDs, evaluate. The warm daemon has seen
+    // every text, so its loads take the fast path; the cold one has one
+    // slot and consecutive texts differ, so every load parses. Every
+    // reply must match byte for byte but for the "cached" flag.
+    std::vector<std::string> texts;
+    for (const NamedPreset& preset : namedPresets())
+        texts.push_back(writeDescription(preset.build()));
+    const std::vector<SweepParam> params =
+        sweepParameters(SweepMode::Detailed);
+    std::mt19937_64 rng(42);
+    for (const NamedPreset& preset : namedPresets()) {
+        for (int variants = 0; variants < 2;) {
+            DramDescription d = preset.build();
+            for (int k = 0; k < 3; ++k) {
+                params[rng() % params.size()].apply(
+                    d, 0.9 + 0.2 * static_cast<double>(rng() % 1001) /
+                                 1000);
+            }
+            if (!validateDescription(d).ok())
+                continue;
+            texts.push_back(writeDescription(d));
+            ++variants;
+        }
+    }
+
+    std::string warm;
+    std::string batch;
+    long long id = 0;
+    for (const std::string& text : texts)
+        warm += textLoad(++id, text);
+    for (std::size_t i = 0; i < texts.size(); ++i) {
+        batch += textLoad(++id, texts[i]);
+        batch += strformat("{\"id\":%lld,\"op\":\"perturb\",\"param\":"
+                           "\"%s\",\"factor\":0.95}\n",
+                           ++id, params[i % params.size()].name.c_str());
+        for (int m = 0; m < kIddMeasureCount; ++m) {
+            batch += strformat(
+                "{\"id\":%lld,\"op\":\"idd\",\"measure\":\"%s\"}\n", ++id,
+                toLower(iddName(static_cast<IddMeasure>(m))).c_str());
+        }
+        batch += strformat("{\"id\":%lld,\"op\":\"evaluate\"}\n", ++id);
+    }
+
+    ServeOptions coldOptions = baseOptions("cold");
+    coldOptions.cacheCapacity = 1;
+    ServeOptions warmOptions = baseOptions("warm");
+    warmOptions.cacheCapacity = texts.size();
+    DaemonFixture coldDaemon(coldOptions);
+    DaemonFixture warmDaemon(warmOptions);
+    ASSERT_TRUE(coldDaemon.ready());
+    ASSERT_TRUE(warmDaemon.ready());
+    ASSERT_TRUE(warmDaemon.send(warm).ok());
+    Result<std::string> cold = coldDaemon.send(batch);
+    Result<std::string> hot = warmDaemon.send(batch);
+    ASSERT_TRUE(cold.ok()) << cold.error().toString();
+    ASSERT_TRUE(hot.ok()) << hot.error().toString();
+    std::vector<std::string> coldLines = lines(cold.value());
+    std::vector<std::string> hotLines = lines(hot.value());
+    ASSERT_EQ(coldLines.size(), hotLines.size());
+
+    int loads = 0;
+    int mismatches = 0;
+    for (std::size_t i = 0; i < coldLines.size(); ++i) {
+        if (coldLines[i].find("\"cached\":") != std::string::npos) {
+            ++loads;
+            EXPECT_NE(coldLines[i].find("\"cached\":false"),
+                      std::string::npos);
+            EXPECT_NE(hotLines[i].find("\"cached\":true"),
+                      std::string::npos);
+        }
+        if (uncached(hotLines[i]) != coldLines[i] && ++mismatches <= 3) {
+            ADD_FAILURE() << "cold: " << coldLines[i]
+                          << "\nwarm: " << hotLines[i];
+        }
+    }
+    EXPECT_EQ(loads, static_cast<int>(texts.size()));
+    EXPECT_EQ(mismatches, 0);
+}
+
+TEST(ServeDaemonTest, NonCanonicalTextTakesTheParsePath)
+{
+    // Other spellings of a device parse to the same canonical text, so
+    // they share its cache entry and its hash.
+    const std::string text = presetText("ddr3_1g_55");
+    std::string spaced = text;
+    spaced.replace(spaced.find("Name = "), 7, "Name   =   ");
+    const std::string batch = textLoad(1, text) +
+                              textLoad(2, "# a comment\n" + text) +
+                              textLoad(3, spaced) + textLoad(4, text);
+
+    DaemonFixture daemon(baseOptions("respell"));
+    ASSERT_TRUE(daemon.ready());
+    Result<std::string> sent = daemon.send(batch);
+    ASSERT_TRUE(sent.ok()) << sent.error().toString();
+    std::vector<std::string> replies = lines(sent.value());
+    ASSERT_EQ(replies.size(), 4u);
+    const std::string hash =
+        strformat("\"hash\":\"%016llx\"", static_cast<unsigned long long>(
+                                              fnv1a64(text)));
+    for (std::size_t i = 0; i < replies.size(); ++i) {
+        EXPECT_NE(replies[i].find("\"ok\":true"), std::string::npos)
+            << replies[i];
+        EXPECT_NE(replies[i].find(hash), std::string::npos) << replies[i];
+        EXPECT_NE(replies[i].find(i == 0 ? "\"cached\":false"
+                                         : "\"cached\":true"),
+                  std::string::npos)
+            << replies[i];
+    }
+}
+
+TEST(ServeDaemonTest, ConcurrentTextLoadsAgree)
+{
+    // Four sessions load three texts in turn through a two-slot cache,
+    // so find, get, put and eviction race. Every session sends the same
+    // batch and must read the same answers (the "cached" flag aside).
+    const std::vector<std::string> texts = {presetText("ddr3_2g_55"),
+                                            presetText("ddr3_1g_55"),
+                                            presetText("ddr2_1g_75")};
+    std::string batch;
+    long long id = 0;
+    for (int round = 0; round < 6; ++round) {
+        for (const std::string& text : texts) {
+            batch += textLoad(++id, text);
+            batch += strformat("{\"id\":%lld,\"op\":\"evaluate\"}\n", ++id);
+        }
+    }
+
+    ServeOptions options = baseOptions("concurrent");
+    options.threads = 4;
+    options.cacheCapacity = 2;
+    DaemonFixture daemon(options);
+    ASSERT_TRUE(daemon.ready());
+    constexpr int kSessions = 4;
+    std::vector<Result<std::string>> replies(kSessions, std::string());
+    std::vector<std::thread> sessions;
+    for (int s = 0; s < kSessions; ++s) {
+        sessions.emplace_back(
+            [&, s] { replies[s] = daemon.send(batch); });
+    }
+    for (std::thread& session : sessions)
+        session.join();
+
+    std::vector<std::string> first;
+    for (int s = 0; s < kSessions; ++s) {
+        ASSERT_TRUE(replies[s].ok()) << replies[s].error().toString();
+        std::vector<std::string> got = lines(replies[s].value());
+        ASSERT_EQ(got.size(), static_cast<std::size_t>(id));
+        for (std::string& reply : got) {
+            EXPECT_NE(reply.find("\"ok\":true"), std::string::npos)
+                << reply;
+            reply = uncached(reply);
+        }
+        if (s == 0)
+            first = got;
+        else
+            EXPECT_EQ(got, first) << "session " << s;
+    }
+    ServeStats stats = daemon.stopAndJoin();
+    EXPECT_EQ(stats.requestsAccepted,
+              stats.responsesWritten + stats.responsesFailed);
 }
 
 TEST(ServeDaemonTest, TcpLoopbackRoundTrip)

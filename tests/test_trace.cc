@@ -92,6 +92,7 @@ TEST(TraceTest, MissingFileReported)
     ASSERT_FALSE(result.ok());
     EXPECT_NE(result.error().message.find("cannot open"),
               std::string::npos);
+    EXPECT_EQ(result.error().code, "E-IO-OPEN");
 }
 
 } // namespace

@@ -372,18 +372,34 @@ cmdPattern(const DramDescription& desc, const std::vector<std::string>& ops)
 }
 
 /**
+ * Parse a whole decimal integer into @p out; false on a syntax defect.
+ * Digits beyond the long long range set @p overflow and leave the
+ * clamped value in @p out.
+ */
+bool
+parseInteger(const std::string& text, long long& out, bool& overflow)
+{
+    if (text.empty())
+        return false;
+    char* end = nullptr;
+    errno = 0;
+    out = std::strtoll(text.c_str(), &end, 10);
+    overflow = errno == ERANGE;
+    return end == text.c_str() + text.size();
+}
+
+/**
  * Parse an integer flag value in [min, max]; false on any syntax or
- * range defect (the caller reports the usage error).
+ * range defect, overflow included (the caller reports the usage error).
  */
 bool
 parseCount(const std::string& text, long long min, long long max,
            long long& out)
 {
-    if (text.empty())
-        return false;
-    char* end = nullptr;
-    long long value = std::strtoll(text.c_str(), &end, 10);
-    if (end != text.c_str() + text.size() || value < min || value > max)
+    long long value = 0;
+    bool overflow = false;
+    if (!parseInteger(text, value, overflow) || overflow || value < min ||
+        value > max)
         return false;
     out = value;
     return true;
@@ -449,7 +465,7 @@ cmdSensitivity(const DramDescription& desc, CampaignFlags flags,
     if (!campaign.ok()) {
         std::fprintf(stderr, "%s\n",
                      campaign.error().toString().c_str());
-        return kExitRuntime;
+        return exitCodeForError(campaign.error());
     }
     Table table({"parameter", "+20%", "-20%", "spread"});
     for (const SensitivityResult& r : campaign.value().results) {
@@ -753,7 +769,7 @@ cmdSweep(const DramDescription& desc, CampaignFlags flags,
     Result<RunReport> report = runner.run(&diags);
     if (!report.ok()) {
         std::fprintf(stderr, "%s\n", report.error().toString().c_str());
-        return kExitRuntime;
+        return exitCodeForError(report.error());
     }
 
     Table table({"factor", "pattern power", "IDD0", "IDD4R",
@@ -1015,15 +1031,17 @@ struct TraceArgs {
 /**
  * The `trace` window validator: @p text must be an integer (usage
  * error otherwise). A numeric but unusable window — zero, negative, or
- * wide enough to overflow the window index math — is a content defect,
- * not a syntax defect: report the structured E-TRACE-WINDOW diagnostic
- * (exit 4), same code the library's validateTraceWindow() uses.
+ * wide enough to overflow the window index math (digits past the long
+ * long range arrive clamped) — is a content defect, not a syntax
+ * defect: report the structured E-TRACE-WINDOW diagnostic (exit 4),
+ * same code the library's validateTraceWindow() uses.
  */
 int
 checkTraceWindow(const std::string& flag, const std::string& text,
                  long long& window)
 {
-    if (!parseCount(text, INT64_MIN, INT64_MAX, window)) {
+    bool overflow = false;
+    if (!parseInteger(text, window, overflow)) {
         std::fprintf(stderr,
                      "%s must be an integer cycle count, got '%s'\n",
                      flag.c_str(), text.c_str());
@@ -1214,7 +1232,7 @@ cmdTrends(CampaignFlags flags, bool csv)
     if (!campaign.ok()) {
         std::fprintf(stderr, "%s\n",
                      campaign.error().toString().c_str());
-        return kExitRuntime;
+        return exitCodeForError(campaign.error());
     }
     Table table({"node", "year", "device", "die mm2", "pJ/bit", "IDD0 mA",
                  "IDD4R mA"});
