@@ -379,11 +379,11 @@ RunnerCore::runTasks(DiagnosticEngine* diags)
 
     Clock::time_point start = Clock::now();
 
-    // One job per manifest task on the shared pool (FIFO dispatch, same
+    // One job per manifest task on the pool (FIFO dispatch, same
     // assignment order as the old per-runner thread loop). A job that
     // observes the stop flag returns immediately, leaving its task
     // NotRun — that IS the graceful drain.
-    WorkerPool pool(WorkerPool::Options{jobs, 0});
+    WorkerPool pool(jobs);
     for (long long i = 0; i < total; ++i) {
         if (results_[i].outcome == TaskOutcome::SkippedResume)
             continue;

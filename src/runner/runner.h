@@ -9,10 +9,9 @@
  * already done. BatchRunner provides the shared discipline:
  *
  *  - a job manifest with a deterministic seed per task,
- *  - a shared WorkerPool (worker_pool.h, also the substrate of the
- *    `vdram serve` daemon) with per-task fault isolation: a task
- *    that returns an error Result or throws is quarantined with its
- *    diagnostics attached, never aborting the run,
+ *  - a WorkerPool (worker_pool.h) with per-task fault isolation: a
+ *    task that returns an error Result or throws is quarantined with
+ *    its diagnostics attached, never aborting the run,
  *  - bounded retry with exponential backoff for transient errors
  *    (diagnostic codes starting "T-"),
  *  - a per-task deadline watchdog (cooperative cancellation),

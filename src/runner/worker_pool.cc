@@ -47,13 +47,11 @@ WorkerPool::JobContext::clearDeadline()
         0, std::memory_order_release);
 }
 
-WorkerPool::WorkerPool(const Options& options)
-    : options_(options),
-      slots_(static_cast<size_t>(std::max(1, options.threads)))
+WorkerPool::WorkerPool(int threads)
+    : slots_(static_cast<size_t>(std::max(1, threads)))
 {
-    const int threads = static_cast<int>(slots_.size());
-    threads_.reserve(static_cast<size_t>(threads));
-    for (int i = 0; i < threads; ++i)
+    threads_.reserve(slots_.size());
+    for (int i = 0; i < threadCount(); ++i)
         threads_.emplace_back(&WorkerPool::workerMain, this, i);
     watchdog_ = std::thread(&WorkerPool::watchdogMain, this);
 }
@@ -61,23 +59,6 @@ WorkerPool::WorkerPool(const Options& options)
 WorkerPool::~WorkerPool()
 {
     shutdown();
-}
-
-bool
-WorkerPool::trySubmit(JobFn job)
-{
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (shutdownCalled_)
-            return false;
-        if (options_.queueCapacity > 0 &&
-            static_cast<long long>(queue_.size()) >=
-                options_.queueCapacity)
-            return false;
-        queue_.push_back(std::move(job));
-    }
-    workAvailable_.notify_one();
-    return true;
 }
 
 bool
@@ -124,20 +105,6 @@ WorkerPool::shutdown()
     stopping_.store(true, std::memory_order_release);
     if (watchdog_.joinable())
         watchdog_.join();
-}
-
-long long
-WorkerPool::queueDepth() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return static_cast<long long>(queue_.size());
-}
-
-int
-WorkerPool::inFlight() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return inFlight_;
 }
 
 void

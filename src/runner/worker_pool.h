@@ -1,19 +1,10 @@
 /**
  * @file
- * Shared worker pool: persistent threads, a bounded job queue with
- * non-blocking admission, and a deadline watchdog with cooperative
- * cancellation.
+ * The batch runner's worker pool: persistent threads, an unbounded FIFO
+ * job queue, and a deadline watchdog with cooperative cancellation.
  *
- * Extracted from BatchRunner so the batch campaigns and the long-running
- * `vdram serve` daemon execute on literally the same machinery. The two
- * clients stress different halves of the contract:
- *
- *  - BatchRunner submits a finite manifest and drains; it cares about
- *    per-task deadlines and per-worker scratch indexing (worker()).
- *  - The serve daemon runs the pool forever and cares about admission
- *    control: trySubmit() refuses work beyond the queue bound instead of
- *    blocking, which is what lets the daemon shed load with an explicit
- *    error rather than stacking requests until memory or latency dies.
+ * BatchRunner submits a finite manifest and drains; it relies on
+ * per-task deadlines and per-worker scratch indexing (worker()).
  *
  * Jobs must not throw; a job body that leaks an exception is contained
  * (counted in the `pool.job.exceptions` metric) so one poisoned job can
@@ -35,14 +26,6 @@ namespace vdram {
 
 class WorkerPool {
   public:
-    struct Options {
-        /** Worker threads (>= 1; clamped). */
-        int threads = 1;
-        /** Maximum queued (not yet started) jobs trySubmit() admits;
-         *  0 = unbounded. */
-        long long queueCapacity = 0;
-    };
-
     /**
      * Per-job view handed to the job body: the worker slot index (for
      * lock-free per-worker scratch state), cooperative cancellation and
@@ -81,21 +64,15 @@ class WorkerPool {
 
     using JobFn = std::function<void(JobContext&)>;
 
-    explicit WorkerPool(const Options& options);
+    /** Start @p threads workers (clamped to >= 1) and the watchdog. */
+    explicit WorkerPool(int threads);
     ~WorkerPool();
 
     WorkerPool(const WorkerPool&) = delete;
     WorkerPool& operator=(const WorkerPool&) = delete;
 
-    /**
-     * Admission-controlled enqueue: false when the queue is at capacity
-     * or the pool is shutting down. Never blocks — the caller decides
-     * how to shed (the serve daemon answers E-SERVE-OVERLOAD).
-     */
-    bool trySubmit(JobFn job);
-
-    /** Unbounded enqueue (ignores queueCapacity). Returns false only
-     *  when the pool is shutting down. */
+    /** Enqueue @p job. Returns false only when the pool is shutting
+     *  down. */
     bool submit(JobFn job);
 
     /** Block until the queue is empty and no job is in flight. */
@@ -104,12 +81,6 @@ class WorkerPool {
     /** Stop accepting, finish queued jobs, join all threads. Idempotent;
      *  the destructor calls it. */
     void shutdown();
-
-    /** Jobs queued but not yet started. */
-    long long queueDepth() const;
-
-    /** Jobs currently executing. */
-    int inFlight() const;
 
     int threadCount() const
     {
@@ -128,8 +99,7 @@ class WorkerPool {
     void workerMain(int index);
     void watchdogMain();
 
-    Options options_;
-    mutable std::mutex mutex_;
+    std::mutex mutex_;
     std::condition_variable workAvailable_;
     std::condition_variable idle_;
     std::deque<JobFn> queue_;

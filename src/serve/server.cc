@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -18,7 +19,6 @@
 #include "dsl/parser.h"
 #include "presets/presets.h"
 #include "protocol/idd.h"
-#include "runner/worker_pool.h"
 #include "serve/line_server.h"
 #include "serve/model_cache.h"
 #include "serve/protocol.h"
@@ -61,7 +61,7 @@ secondsSince(Clock::time_point start)
 }
 
 /** Per-connection model state. Owned by exactly one session thread, so
- *  no lock: request execution is serialized per session. */
+ *  no lock: the session thread executes its own requests one by one. */
 struct Session {
     std::unique_ptr<VariantEvaluator> evaluator;
     std::string deviceName;
@@ -114,9 +114,8 @@ class Server {
   public:
     explicit Server(const ServeOptions& options)
         : options_(options),
-          pool_(WorkerPool::Options{
-              options.threads > 0 ? options.threads : 2,
-              std::max<long long>(1, options.queueCapacity)}),
+          slots_(options.threads > 0 ? options.threads : 2),
+          waitCapacity_(std::max<long long>(1, options.queueCapacity)),
           cache_(options.cacheCapacity)
     {
     }
@@ -144,12 +143,51 @@ class Server {
         return options_.stopFlag &&
                options_.stopFlag->load(std::memory_order_relaxed);
     }
+    /**
+     * Admission control without a hand-off: the session thread that
+     * read a request executes it once it holds one of `slots_`. It
+     * waits for a slot while fewer than `waitCapacity_` others do;
+     * false means shed. Uncontended, admit() and release() each take
+     * the lock once and wake no thread.
+     */
+    bool admit()
+    {
+        std::unique_lock<std::mutex> lock(gateMutex_);
+        if (running_ >= slots_) {
+            if (waiting_ >= waitCapacity_)
+                return false;
+            ++waiting_;
+            publishGate();
+            slotFreed_.wait(lock, [this] { return running_ < slots_; });
+            --waiting_;
+        }
+        ++running_;
+        publishGate();
+        return true;
+    }
+    void release()
+    {
+        {
+            std::lock_guard<std::mutex> lock(gateMutex_);
+            --running_;
+        }
+        slotFreed_.notify_one();
+    }
+    /** Publish the gate's occupancy; the caller holds gateMutex_. */
+    void publishGate()
+    {
+        if (metricsEnabled()) {
+            globalMetrics().gauge("serve.queue.depth").set(waiting_);
+            globalMetrics().gauge("serve.inflight").set(running_);
+        }
+    }
+
     std::string executeRequest(Session& session,
-                               const ServeRequest& request,
-                               WorkerPool::JobContext& job);
+                               const ServeRequest& request);
+    /** @p deadline is Clock::time_point::max() when none is armed. */
     std::string handleRequest(Session& session,
                               const ServeRequest& request,
-                              WorkerPool::JobContext& job);
+                              Clock::time_point deadline);
     bool writeResponse(int fd, const std::string& body);
 
     void count(long long ServeStats::*field, const char* metric)
@@ -163,7 +201,12 @@ class Server {
     }
 
     ServeOptions options_;
-    WorkerPool pool_;
+    const int slots_;
+    const long long waitCapacity_;
+    std::mutex gateMutex_;
+    std::condition_variable slotFreed_;
+    int running_ = 0;
+    long long waiting_ = 0;
     ModelCache cache_;
     std::mutex statsMutex_;
     ServeStats stats_;
@@ -213,10 +256,6 @@ Server::run()
     if (!served.ok())
         return served.error();
 
-    // Every session has answered what it read; only now stop the pool.
-    pool_.drain();
-    pool_.shutdown();
-
     std::lock_guard<std::mutex> lock(statsMutex_);
     stats_.drained = stopRequested();
     return stats_;
@@ -239,37 +278,10 @@ Server::handleLine(int fd, Session& session, const std::string& line)
     }
     const ServeRequest& request = parsed.value();
 
-    // Admission control: the bounded pool queue is the backpressure
-    // boundary. Shedding answers immediately — the client learns the
-    // daemon is saturated instead of waiting into a timeout.
-    struct Pending {
-        std::mutex mutex;
-        std::condition_variable cv;
-        bool done = false;
-        std::string body;
-    };
-    Pending pending;
-    bool admitted = pool_.trySubmit(
-        [this, &session, &request, &pending](
-            WorkerPool::JobContext& job) {
-            std::string body = executeRequest(session, request, job);
-            {
-                std::lock_guard<std::mutex> lock(pending.mutex);
-                pending.body = std::move(body);
-                pending.done = true;
-                // Notify under the lock: `pending` lives on the
-                // session thread's stack and is destroyed the moment
-                // the waiter sees done — an unlocked notify could
-                // touch a dead condition_variable.
-                pending.cv.notify_one();
-            }
-        });
-    if (metricsEnabled()) {
-        globalMetrics().gauge("serve.queue.depth").set(
-            pool_.queueDepth());
-        globalMetrics().gauge("serve.inflight").set(pool_.inFlight());
-    }
-    if (!admitted) {
+    // Admission control: the gate is the backpressure boundary. Shedding
+    // answers immediately; the client learns the daemon is saturated
+    // instead of waiting into a timeout.
+    if (!admit()) {
         count(&ServeStats::requestsShed, "serve.requests.shed");
         return writeResponse(
             fd,
@@ -277,27 +289,34 @@ Server::handleLine(int fd, Session& session, const std::string& line)
                              "request queue is full; retry later"));
     }
     std::string body;
-    {
-        std::unique_lock<std::mutex> lock(pending.mutex);
-        pending.cv.wait(lock, [&pending] { return pending.done; });
-        body = std::move(pending.body);
+    try {
+        body = executeRequest(session, request);
+    } catch (...) {
+        release(); // the session closes; its slot must not leak
+        throw;
     }
+    release();
     return writeResponse(fd, body);
 }
 
 std::string
-Server::executeRequest(Session& session, const ServeRequest& request,
-                       WorkerPool::JobContext& job)
+Server::executeRequest(Session& session, const ServeRequest& request)
 {
-    double deadline = options_.deadlineSeconds;
+    double seconds = options_.deadlineSeconds;
     if (request.deadlineSeconds > 0) {
-        deadline = std::min(request.deadlineSeconds,
-                            options_.maxDeadlineSeconds);
+        seconds = std::min(request.deadlineSeconds,
+                           options_.maxDeadlineSeconds);
     }
-    job.armDeadline(deadline);
+    // Armed once the request holds a slot: a wait at the gate does not
+    // count against it.
+    const Clock::time_point deadline =
+        seconds > 0 ? Clock::now() +
+                          std::chrono::duration_cast<Clock::duration>(
+                              std::chrono::duration<double>(seconds))
+                    : Clock::time_point::max();
     std::string body;
     try {
-        body = handleRequest(session, request, job);
+        body = handleRequest(session, request, deadline);
     } catch (const std::exception& e) {
         // A poisoned model or any other throwing evaluation is this
         // request's problem only.
@@ -308,22 +327,21 @@ Server::executeRequest(Session& session, const ServeRequest& request,
         body = renderServeError(request.id, "E-SERVE-INTERNAL",
                                 "request failed: non-standard exception");
     }
-    job.clearDeadline();
-    if (job.cancelled()) {
+    if (Clock::now() > deadline) {
         count(&ServeStats::deadlineExceeded, "serve.deadline.exceeded");
         return renderServeError(
             request.id, "E-SERVE-DEADLINE",
-            strformat("deadline of %.3f s exceeded", deadline));
+            strformat("deadline of %.3f s exceeded", seconds));
     }
     return body;
 }
 
 std::string
 Server::handleRequest(Session& session, const ServeRequest& request,
-                      WorkerPool::JobContext& job)
+                      Clock::time_point deadline)
 {
-    // Failpoint `serve.request`: Stall exercises the deadline watchdog
-    // (bounded so an unarmed deadline cannot wedge a worker), Crash
+    // Failpoint `serve.request`: Stall exercises the deadline check
+    // (bounded so an unarmed deadline cannot wedge a session), Crash
     // exercises the per-request exception quarantine.
     FailpointHit hit = failpointHit("serve.request");
     if (hit.action == FailpointAction::Error) {
@@ -342,13 +360,13 @@ Server::handleRequest(Session& session, const ServeRequest& request,
                          ? options_.maxDeadlineSeconds * 4
                          : 0.2;
         Clock::time_point start = Clock::now();
-        while (!job.cancelled() && secondsSince(start) < cap) {
+        while (Clock::now() <= deadline && secondsSince(start) < cap) {
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(1));
         }
         // The deadline check in executeRequest turns this into
         // E-SERVE-DEADLINE; without an armed deadline we recover here.
-        if (!job.cancelled()) {
+        if (Clock::now() <= deadline) {
             return renderServeError(request.id, "E-SERVE-INTERNAL",
                                     "injected stall at failpoint "
                                     "'serve.request'");
@@ -390,12 +408,17 @@ Server::handleRequest(Session& session, const ServeRequest& request,
                 error.toString());
         };
         // Text the cache holds byte for byte was parsed, validated and
-        // keyed by an earlier load: build straight from its snapshot.
+        // keyed by an earlier load, and a preset's key is computed once
+        // per process: either hit builds straight from the snapshot.
         std::uint64_t key = 0;
         std::shared_ptr<const DramDescription> snapshot;
+        std::optional<std::uint64_t> presetKey;
         if (request.preset.empty()) {
             key = fnv1a64(request.text);
             snapshot = cache_.find(key, request.text);
+        } else if ((presetKey = presetCacheKey(request.preset))) {
+            key = *presetKey;
+            snapshot = cache_.get(key);
         }
         bool cached = snapshot != nullptr;
         if (!cached) {
@@ -408,13 +431,15 @@ Server::handleRequest(Session& session, const ServeRequest& request,
             // auto floorplan under a structural perturb) is the same
             // either way. Text sent already canonical is recorded with
             // its entry, so its next load takes the path above.
-            CanonicalForm canonical = canonicalForm(desc.value());
-            key = canonical.key;
-            std::string text = request.text == canonical.text
-                                   ? std::move(canonical.text)
-                                   : std::string();
-            snapshot = cache_.get(key, text);
-            cached = snapshot != nullptr;
+            std::string text;
+            if (!presetKey) {
+                CanonicalForm canonical = canonicalForm(desc.value());
+                key = canonical.key;
+                if (request.text == canonical.text)
+                    text = std::move(canonical.text);
+                snapshot = cache_.get(key, text);
+                cached = snapshot != nullptr;
+            }
             if (!cached) {
                 Status valid = validateDescription(desc.value());
                 if (!valid.ok())
@@ -547,8 +572,11 @@ Server::handleRequest(Session& session, const ServeRequest& request,
         json.beginObject();
         json.key("id").value(request.id);
         json.key("ok").value(true);
-        json.key("queueDepth").value(pool_.queueDepth());
-        json.key("inFlight").value(pool_.inFlight());
+        {
+            std::lock_guard<std::mutex> lock(gateMutex_);
+            json.key("queueDepth").value(waiting_);
+            json.key("inFlight").value(static_cast<long long>(running_));
+        }
         json.key("activeSessions")
             .value(static_cast<long long>(
                 activeSessions_.load(std::memory_order_relaxed)));
@@ -562,7 +590,6 @@ Server::handleRequest(Session& session, const ServeRequest& request,
         return json.str();
     }
     }
-    (void)job;
     return renderServeError(request.id, "E-SERVE-INTERNAL",
                             "unhandled op");
 }

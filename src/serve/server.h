@@ -6,12 +6,14 @@
  *
  * Robustness contract (the reason this subsystem exists):
  *
- *  - Admission control: requests execute on a bounded WorkerPool queue;
- *    a full queue sheds the request with an `E-SERVE-OVERLOAD` response
- *    instead of stacking latency until the process dies.
- *  - Deadlines: every request runs under a deadline enforced by the
- *    pool watchdog (cooperative cancellation); an overrun answers
- *    `E-SERVE-DEADLINE`.
+ *  - Admission control: each request executes on the session thread
+ *    that read it, behind one gate: at most `threads` execute at once
+ *    and at most `queueCapacity` wait for a slot. A request beyond both
+ *    is shed with an `E-SERVE-OVERLOAD` response instead of stacking
+ *    latency until the process dies.
+ *  - Deadlines: every request runs under a deadline, armed once it
+ *    holds a slot and checked by the thread executing it; an overrun
+ *    answers `E-SERVE-DEADLINE`.
  *  - Fault isolation: a malformed request, a failing validation or a
  *    poisoned model (an exception out of a stage rebuild) produces a
  *    structured error response on that request only. No request input
@@ -48,9 +50,9 @@ struct ServeOptions {
     std::string socketPath;
     /** Loopback TCP port; used when socketPath is empty. */
     int port = 0;
-    /** Worker threads answering requests (0 = 2). */
+    /** Requests executing at once (0 = 2). */
     int threads = 0;
-    /** Bounded request queue; beyond it requests are shed. */
+    /** Requests waiting for a slot; beyond it requests are shed. */
     long long queueCapacity = 32;
     /** Default per-request deadline in seconds (0 disables). */
     double deadlineSeconds = 10;

@@ -28,6 +28,7 @@
 #include "presets/presets.h"
 #include "serve/fleet.h"
 #include "serve/line_server.h"
+#include "serve/model_cache.h"
 #include "serve/router.h"
 #include "serve/server.h"
 #include "serve/supervisor.h"
@@ -35,6 +36,7 @@
 #include "util/failpoint.h"
 #include "util/json.h"
 #include "util/result.h"
+#include "util/strings.h"
 #include "util/subprocess.h"
 
 #include <csignal>
@@ -667,6 +669,39 @@ TEST(FleetEndToEndTest, SameCanonicalTextFindsTheWarmWorker)
                 << loaded.value();
             EXPECT_NE(loaded.value().find(cached), std::string::npos)
                 << name << ": " << loaded.value();
+        }
+    }
+
+    FleetStats stats = fleet.stop();
+    ASSERT_TRUE(fleet.finishedOk());
+    EXPECT_TRUE(stats.invariantHolds());
+}
+
+TEST(FleetEndToEndTest, PresetLoadsAnswerTheirCanonicalKey)
+{
+    // A preset's routing and cache key is computed once per process;
+    // through a fleet every preset load still answers the hash of its
+    // canonical text, a miss on first sight and a hit after.
+    FleetHarness fleet(2, "presetkey");
+    ASSERT_TRUE(fleet.ready());
+    ASSERT_TRUE(fleet.awaitWorkersReady(2, 10.0));
+
+    for (const NamedPreset& preset : namedPresets()) {
+        const std::string hash = strformat(
+            "\"hash\":\"%016llx\"",
+            static_cast<unsigned long long>(
+                canonicalForm(preset.build()).key));
+        const std::string load = "{\"id\":1,\"op\":\"load\",\"preset\":\"" +
+                                 preset.name + "\"}";
+        for (const char* cached : {"\"cached\":false", "\"cached\":true"}) {
+            SessionClient client;
+            ASSERT_TRUE(client.connectTo(fleet.frontSocket()));
+            Result<std::string> loaded = client.request(load);
+            ASSERT_TRUE(loaded.ok()) << loaded.error().toString();
+            EXPECT_NE(loaded.value().find(hash), std::string::npos)
+                << preset.name << ": " << loaded.value();
+            EXPECT_NE(loaded.value().find(cached), std::string::npos)
+                << preset.name << ": " << loaded.value();
         }
     }
 

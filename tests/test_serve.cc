@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <random>
 #include <string>
 #include <thread>
@@ -29,6 +30,7 @@
 #include "core/sensitivity.h"
 #include "loopback_port.h"
 #include "protocol/idd.h"
+#include "serve/line_server.h"
 #include "serve/model_cache.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
@@ -36,6 +38,7 @@
 #include "presets/presets.h"
 #include "util/failpoint.h"
 #include "util/json.h"
+#include "util/metrics.h"
 #include "util/strings.h"
 
 namespace vdram {
@@ -230,6 +233,28 @@ TEST(ModelCacheTest, TextLookupHitsOnlyOnByteEquality)
     EXPECT_EQ(cache.hits(), 3);
     EXPECT_EQ(cache.misses(), 0);
     EXPECT_EQ(cache.evictions(), 1);
+}
+
+TEST(ModelCacheTest, PresetKeyIsTheMemoisedCanonicalKey)
+{
+    // First use races from four threads; every call agrees with a
+    // fresh build and write.
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 4; ++t) {
+        threads.emplace_back([] {
+            for (const NamedPreset& preset : namedPresets())
+                presetCacheKey(preset.name);
+        });
+    }
+    for (std::thread& t : threads)
+        t.join();
+    ASSERT_EQ(namedPresets().size(), 11u);
+    for (const NamedPreset& preset : namedPresets()) {
+        std::optional<std::uint64_t> key = presetCacheKey(preset.name);
+        ASSERT_TRUE(key.has_value()) << preset.name;
+        EXPECT_EQ(*key, canonicalForm(preset.build()).key) << preset.name;
+    }
+    EXPECT_FALSE(presetCacheKey("nosuch").has_value());
 }
 
 // ---------------------------------------------------------------------
@@ -815,6 +840,204 @@ TEST(ServeDaemonTest, OverloadShedsWithStructuredError)
     EXPECT_GE(stats.requestsShed, 1);
     EXPECT_EQ(stats.requestsAccepted,
               stats.responsesWritten + stats.responsesFailed);
+}
+
+// ---------------------------------------------------------------------
+// Every request executes on its session thread behind one admission
+// gate; these pin the deadline, shedding, drain and occupancy rules.
+// ---------------------------------------------------------------------
+
+TEST(ServeDaemonTest, StalledPerturbHitsDeadlineAndSessionStaysUsable)
+{
+    // The 2nd evaluation of the failpoint is the perturb.
+    Result<std::vector<FailpointConfig>> configs =
+        parseFailpointSpec("serve.request=stall:2");
+    ASSERT_TRUE(configs.ok());
+    configureFailpoints(configs.value());
+
+    ServeOptions options = baseOptions("stallperturb");
+    options.deadlineSeconds = 0.1;
+    options.maxDeadlineSeconds = 0.5;
+    DaemonFixture daemon(options);
+    ASSERT_TRUE(daemon.ready());
+    const std::string load =
+        "{\"id\":1,\"op\":\"load\",\"preset\":\"ddr3_2g_55\"}\n";
+    const std::string idd =
+        "{\"id\":3,\"op\":\"idd\",\"measure\":\"idd4r\"}\n";
+    Result<std::string> replies = daemon.send(
+        load +
+        "{\"id\":2,\"op\":\"perturb\",\"param\":\"Internal voltage "
+        "Vint\",\"factor\":1.2}\n" +
+        idd);
+    clearFailpoints();
+    ASSERT_TRUE(replies.ok()) << replies.error().toString();
+    std::vector<std::string> out = lines(replies.value());
+    ASSERT_EQ(out.size(), 3u);
+    EXPECT_NE(out[0].find("\"ok\":true"), std::string::npos) << out[0];
+    EXPECT_NE(out[1].find("E-SERVE-DEADLINE"), std::string::npos)
+        << out[1];
+    // The stalled perturb never applied: the session answers like a
+    // fresh one.
+    Result<std::string> fresh = daemon.send(load + idd);
+    ASSERT_TRUE(fresh.ok()) << fresh.error().toString();
+    std::vector<std::string> reference = lines(fresh.value());
+    ASSERT_EQ(reference.size(), 2u);
+    EXPECT_NE(out[2].find("\"ok\":true"), std::string::npos) << out[2];
+    EXPECT_EQ(out[2], reference[1]);
+
+    ServeStats stats = daemon.stopAndJoin();
+    EXPECT_EQ(stats.deadlineExceeded, 1);
+    EXPECT_EQ(stats.requestsAccepted,
+              stats.responsesWritten + stats.responsesFailed);
+}
+
+TEST(ServeDaemonTest, GateShedsModelOpsBeyondSlotAndWaitLine)
+{
+    // One slot, one waiter, slow requests: of three staggered sessions
+    // (load then idd each) the third finds both taken.
+    Result<std::vector<FailpointConfig>> configs =
+        parseFailpointSpec("serve.request=delay:300");
+    ASSERT_TRUE(configs.ok());
+    configureFailpoints(configs.value());
+
+    ServeOptions options = baseOptions("gateshed");
+    options.threads = 1;
+    options.queueCapacity = 1;
+    DaemonFixture daemon(options);
+    ASSERT_TRUE(daemon.ready());
+
+    std::vector<std::thread> clients;
+    std::vector<Result<std::string>> replies(
+        3, Result<std::string>(std::string()));
+    for (int i = 0; i < 3; ++i) {
+        clients.emplace_back([&daemon, &replies, i] {
+            replies[i] = daemon.send(strformat(
+                "{\"id\":%d,\"op\":\"load\",\"preset\":\"ddr3_1g_55\"}\n"
+                "{\"id\":%d,\"op\":\"idd\",\"measure\":\"idd0\"}\n",
+                10 * i + 1, 10 * i + 2));
+        });
+        std::this_thread::sleep_for(std::chrono::milliseconds(60));
+    }
+    for (std::thread& t : clients)
+        t.join();
+    clearFailpoints();
+
+    int shed = 0, answered = 0;
+    for (const Result<std::string>& reply : replies) {
+        ASSERT_TRUE(reply.ok()) << reply.error().toString();
+        std::vector<std::string> out = lines(reply.value());
+        ASSERT_EQ(out.size(), 2u); // one reply per line, shed or not
+        for (const std::string& line : out) {
+            if (line.find("E-SERVE-OVERLOAD") != std::string::npos)
+                ++shed;
+            else if (line.find("\"amps\"") != std::string::npos)
+                ++answered;
+        }
+    }
+    EXPECT_GE(shed, 1);
+    EXPECT_GE(answered, 1);
+
+    ServeStats stats = daemon.stopAndJoin();
+    EXPECT_EQ(stats.requestsShed, shed);
+    EXPECT_EQ(stats.requestsAccepted, 6);
+    EXPECT_EQ(stats.requestsAccepted,
+              stats.responsesWritten + stats.responsesFailed);
+}
+
+TEST(ServeDaemonTest, StopWhileSessionsStreamDrainsWithInvariant)
+{
+    ServeOptions options = baseOptions("streamdrain");
+    DaemonFixture daemon(options);
+    ASSERT_TRUE(daemon.ready());
+
+    // Four sessions stream small ops one at a time until the draining
+    // daemon closes them.
+    std::atomic<long long> answered{0};
+    std::vector<std::thread> clients;
+    for (int c = 0; c < 4; ++c) {
+        clients.emplace_back([&options, &answered] {
+            LineClient client;
+            if (!client.connect(options.socketPath, 0).ok())
+                return;
+            const char* ops[] = {
+                "{\"id\":%d,\"op\":\"perturb\",\"param\":\"Internal "
+                "voltage Vint\",\"factor\":1.1}",
+                "{\"id\":%d,\"op\":\"idd\",\"measure\":\"idd0\"}",
+                "{\"id\":%d,\"op\":\"evaluate\"}"};
+            if (!client.sendLine("{\"id\":0,\"op\":\"load\",\"preset\":"
+                                 "\"ddr3_2g_55\"}")
+                     .ok() ||
+                !client.readLine(10).ok())
+                return;
+            for (int i = 1; i < 1000000; ++i) {
+                if (!client.sendLine(strformat(ops[i % 3], i)).ok() ||
+                    !client.readLine(10).ok())
+                    return;
+                answered.fetch_add(1);
+            }
+        });
+    }
+    for (int i = 0; i < 500 && answered.load() < 200; ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    ServeStats stats = daemon.stopAndJoin();
+    for (std::thread& t : clients)
+        t.join();
+
+    EXPECT_GE(answered.load(), 200);
+    EXPECT_TRUE(stats.drained);
+    EXPECT_EQ(stats.connections, 4);
+    EXPECT_EQ(stats.requestsShed, 0);
+    EXPECT_EQ(stats.requestsAccepted,
+              stats.responsesWritten + stats.responsesFailed);
+}
+
+TEST(ServeDaemonTest, StatsReportsGateOccupancyWithAWaiter)
+{
+    // Two slots, every request 400 ms: a ping takes slot 1 at 0 ms and
+    // the stats request slot 2 at 80 ms; two more pings wait from 160
+    // and 240 ms. At 400 ms one of them takes slot 1, so when stats
+    // reads the gate (480 ms) two execute and one waits.
+    Result<std::vector<FailpointConfig>> configs =
+        parseFailpointSpec("serve.request=delay:400");
+    ASSERT_TRUE(configs.ok());
+    configureFailpoints(configs.value());
+    setMetricsEnabled(true);
+
+    ServeOptions options = baseOptions("gatestats");
+    options.threads = 2;
+    options.queueCapacity = 4;
+    DaemonFixture daemon(options);
+    ASSERT_TRUE(daemon.ready());
+
+    std::vector<std::thread> clients;
+    std::vector<Result<std::string>> replies(
+        4, Result<std::string>(std::string()));
+    for (int i = 0; i < 4; ++i) {
+        clients.emplace_back([&daemon, &replies, i] {
+            replies[i] = daemon.send(
+                strformat("{\"id\":%d,\"op\":\"%s\"}", i + 1,
+                          i == 1 ? "stats" : "ping"));
+        });
+        std::this_thread::sleep_for(std::chrono::milliseconds(80));
+    }
+    for (std::thread& t : clients)
+        t.join();
+    clearFailpoints();
+    MetricsSnapshot metrics = globalMetrics().snapshot();
+    setMetricsEnabled(false);
+
+    for (const Result<std::string>& reply : replies)
+        ASSERT_TRUE(reply.ok()) << reply.error().toString();
+    const std::string& stats = replies[1].value();
+    EXPECT_NE(stats.find("\"queueDepth\":1,"), std::string::npos) << stats;
+    EXPECT_NE(stats.find("\"inFlight\":2,"), std::string::npos) << stats;
+    EXPECT_EQ(metrics.gauges.count("serve.queue.depth"), 1u);
+    EXPECT_EQ(metrics.gauges.count("serve.inflight"), 1u);
+
+    ServeStats final = daemon.stopAndJoin();
+    EXPECT_EQ(final.requestsShed, 0);
+    EXPECT_EQ(final.requestsAccepted,
+              final.responsesWritten + final.responsesFailed);
 }
 
 TEST(ServeDaemonTest, IdleSessionIsEvicted)

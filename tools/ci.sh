@@ -126,8 +126,10 @@ cli=$(pwd)/build/tools/vdram_cli
 )
 
 echo "== chaos smoke: serve daemon survives injected request chaos =="
-# A daemon with every 3rd-ish request crashing or stalling internally
-# must keep answering, then drain cleanly on SIGINT (exit 5).
+# A daemon with every 3rd-ish request crashing internally must keep
+# answering, then drain cleanly on SIGINT (exit 5). Requests execute on
+# the session thread, so the crashes also strike a load and the model
+# ops after it.
 (
     cd "$chaosdir"
     VDRAM_FAILPOINTS="serve.request=crash@0.3" \
@@ -139,10 +141,19 @@ echo "== chaos smoke: serve daemon survives injected request chaos =="
           [ $i -lt 200 ]; do
         sleep 0.05; i=$((i + 1))
     done
-    for n in 1 2 3 4 5 6 7 8; do
-        printf '{"id":%d,"op":"ping"}\n' "$n"
-    done | "$cli" serve-send --socket=serve.sock > chaos_replies.txt
-    test "$(wc -l < chaos_replies.txt)" -eq 8
+    {
+        for n in 1 2 3 4 5 6 7 8; do
+            printf '{"id":%d,"op":"ping"}\n' "$n"
+        done
+        printf '{"id":9,"op":"load","preset":"ddr3_1g_55"}\n'
+        for n in 10 13 16 19; do
+            printf '{"id":%d,"op":"perturb","param":"Internal voltage Vint","factor":1.1}\n' "$n"
+            printf '{"id":%d,"op":"idd","measure":"idd0"}\n' $((n + 1))
+            printf '{"id":%d,"op":"evaluate"}\n' $((n + 2))
+        done
+    } | "$cli" serve-send --socket=serve.sock > chaos_replies.txt
+    test "$(wc -l < chaos_replies.txt)" -eq 21
+    grep -q E-SERVE-INTERNAL chaos_replies.txt
     kill -INT "$pid"
     set +e
     wait "$pid"
