@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <utility>
-#include <vector>
 
 #include "dsl/writer.h"
-#include "presets/presets.h"
 #include "util/metrics.h"
 #include "util/strings.h"
 
@@ -18,26 +16,6 @@ canonicalForm(const DramDescription& desc)
     form.text = writeDescription(desc);
     form.key = fnv1a64(form.text);
     return form;
-}
-
-std::optional<std::uint64_t>
-presetCacheKey(const std::string& name)
-{
-    struct Memo {
-        std::once_flag once;
-        std::uint64_t key = 0;
-    };
-    const std::vector<NamedPreset>& presets = namedPresets();
-    static Memo* memos = new Memo[presets.size()];
-    for (size_t i = 0; i < presets.size(); ++i) {
-        if (presets[i].name != name)
-            continue;
-        std::call_once(memos[i].once, [&] {
-            memos[i].key = canonicalForm(presets[i].build()).key;
-        });
-        return memos[i].key;
-    }
-    return std::nullopt;
 }
 
 ModelCache::ModelCache(std::size_t capacity)

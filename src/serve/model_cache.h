@@ -24,7 +24,6 @@
 #include <list>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <unordered_map>
 
@@ -40,13 +39,6 @@ struct CanonicalForm {
 };
 
 CanonicalForm canonicalForm(const DramDescription& desc);
-
-/**
- * The cache key of the preset named @p name, canonicalForm(build()).key,
- * computed on its first use and kept for the life of the process (safe
- * to call from any thread). nullopt when no preset has that name.
- */
-std::optional<std::uint64_t> presetCacheKey(const std::string& name);
 
 class ModelCache {
   public:

@@ -3,10 +3,10 @@
 #include <chrono>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <vector>
 
+#include "presets/presets.h"
 #include "serve/line_server.h"
 #include "serve/model_cache.h"
 #include "serve/protocol.h"
@@ -32,16 +32,17 @@ secondsSince(Clock::time_point from)
  * text load hashes its raw bytes without parsing them; for canonical
  * text (what writeDescription() emits) that is the cache key itself.
  * Another spelling of the same device may land on another worker,
- * which costs cache affinity only, never a different answer. A
- * preset's key is computed once per process.
+ * which costs cache affinity only, never a different answer.
  */
 std::uint64_t
 loadRoutingHash(const ServeRequest& request)
 {
     if (request.preset.empty())
         return fnv1a64(request.text);
-    if (std::optional<std::uint64_t> key = presetCacheKey(request.preset))
-        return *key;
+    for (const NamedPreset& preset : namedPresets()) {
+        if (preset.name == request.preset)
+            return canonicalForm(preset.build()).key;
+    }
     return fnv1a64("preset:" + request.preset);
 }
 

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
 #include <cstdlib>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -19,6 +17,7 @@
 #include "dsl/parser.h"
 #include "presets/presets.h"
 #include "protocol/idd.h"
+#include "serve/admission_gate.h"
 #include "serve/line_server.h"
 #include "serve/model_cache.h"
 #include "serve/protocol.h"
@@ -114,8 +113,8 @@ class Server {
   public:
     explicit Server(const ServeOptions& options)
         : options_(options),
-          slots_(options.threads > 0 ? options.threads : 2),
-          waitCapacity_(std::max<long long>(1, options.queueCapacity)),
+          gate_(options.threads > 0 ? options.threads : 2,
+                std::max<long long>(1, options.queueCapacity)),
           cache_(options.cacheCapacity)
     {
     }
@@ -143,45 +142,6 @@ class Server {
         return options_.stopFlag &&
                options_.stopFlag->load(std::memory_order_relaxed);
     }
-    /**
-     * Admission control without a hand-off: the session thread that
-     * read a request executes it once it holds one of `slots_`. It
-     * waits for a slot while fewer than `waitCapacity_` others do;
-     * false means shed. Uncontended, admit() and release() each take
-     * the lock once and wake no thread.
-     */
-    bool admit()
-    {
-        std::unique_lock<std::mutex> lock(gateMutex_);
-        if (running_ >= slots_) {
-            if (waiting_ >= waitCapacity_)
-                return false;
-            ++waiting_;
-            publishGate();
-            slotFreed_.wait(lock, [this] { return running_ < slots_; });
-            --waiting_;
-        }
-        ++running_;
-        publishGate();
-        return true;
-    }
-    void release()
-    {
-        {
-            std::lock_guard<std::mutex> lock(gateMutex_);
-            --running_;
-        }
-        slotFreed_.notify_one();
-    }
-    /** Publish the gate's occupancy; the caller holds gateMutex_. */
-    void publishGate()
-    {
-        if (metricsEnabled()) {
-            globalMetrics().gauge("serve.queue.depth").set(waiting_);
-            globalMetrics().gauge("serve.inflight").set(running_);
-        }
-    }
-
     std::string executeRequest(Session& session,
                                const ServeRequest& request);
     /** @p deadline is Clock::time_point::max() when none is armed. */
@@ -201,12 +161,7 @@ class Server {
     }
 
     ServeOptions options_;
-    const int slots_;
-    const long long waitCapacity_;
-    std::mutex gateMutex_;
-    std::condition_variable slotFreed_;
-    int running_ = 0;
-    long long waiting_ = 0;
+    AdmissionGate gate_;
     ModelCache cache_;
     std::mutex statsMutex_;
     ServeStats stats_;
@@ -278,10 +233,9 @@ Server::handleLine(int fd, Session& session, const std::string& line)
     }
     const ServeRequest& request = parsed.value();
 
-    // Admission control: the gate is the backpressure boundary. Shedding
-    // answers immediately; the client learns the daemon is saturated
-    // instead of waiting into a timeout.
-    if (!admit()) {
+    // The gate is the backpressure boundary: a shed request is answered
+    // at once, so the client learns the daemon is saturated.
+    if (!gate_.admit()) {
         count(&ServeStats::requestsShed, "serve.requests.shed");
         return writeResponse(
             fd,
@@ -292,10 +246,10 @@ Server::handleLine(int fd, Session& session, const std::string& line)
     try {
         body = executeRequest(session, request);
     } catch (...) {
-        release(); // the session closes; its slot must not leak
+        gate_.release(); // the session closes; its slot must not leak
         throw;
     }
-    release();
+    gate_.release();
     return writeResponse(fd, body);
 }
 
@@ -408,17 +362,12 @@ Server::handleRequest(Session& session, const ServeRequest& request,
                 error.toString());
         };
         // Text the cache holds byte for byte was parsed, validated and
-        // keyed by an earlier load, and a preset's key is computed once
-        // per process: either hit builds straight from the snapshot.
+        // keyed by an earlier load: build straight from its snapshot.
         std::uint64_t key = 0;
         std::shared_ptr<const DramDescription> snapshot;
-        std::optional<std::uint64_t> presetKey;
         if (request.preset.empty()) {
             key = fnv1a64(request.text);
             snapshot = cache_.find(key, request.text);
-        } else if ((presetKey = presetCacheKey(request.preset))) {
-            key = *presetKey;
-            snapshot = cache_.get(key);
         }
         bool cached = snapshot != nullptr;
         if (!cached) {
@@ -431,15 +380,13 @@ Server::handleRequest(Session& session, const ServeRequest& request,
             // auto floorplan under a structural perturb) is the same
             // either way. Text sent already canonical is recorded with
             // its entry, so its next load takes the path above.
-            std::string text;
-            if (!presetKey) {
-                CanonicalForm canonical = canonicalForm(desc.value());
-                key = canonical.key;
-                if (request.text == canonical.text)
-                    text = std::move(canonical.text);
-                snapshot = cache_.get(key, text);
-                cached = snapshot != nullptr;
-            }
+            CanonicalForm canonical = canonicalForm(desc.value());
+            key = canonical.key;
+            std::string text = request.text == canonical.text
+                                   ? std::move(canonical.text)
+                                   : std::string();
+            snapshot = cache_.get(key, text);
+            cached = snapshot != nullptr;
             if (!cached) {
                 Status valid = validateDescription(desc.value());
                 if (!valid.ok())
@@ -569,14 +516,12 @@ Server::handleRequest(Session& session, const ServeRequest& request,
             std::lock_guard<std::mutex> lock(statsMutex_);
             snapshot = stats_;
         }
+        const AdmissionGate::Occupancy gate = gate_.occupancy();
         json.beginObject();
         json.key("id").value(request.id);
         json.key("ok").value(true);
-        {
-            std::lock_guard<std::mutex> lock(gateMutex_);
-            json.key("queueDepth").value(waiting_);
-            json.key("inFlight").value(static_cast<long long>(running_));
-        }
+        json.key("queueDepth").value(gate.waiting);
+        json.key("inFlight").value(gate.running);
         json.key("activeSessions")
             .value(static_cast<long long>(
                 activeSessions_.load(std::memory_order_relaxed)));

@@ -7,9 +7,9 @@
  * Robustness contract (the reason this subsystem exists):
  *
  *  - Admission control: each request executes on the session thread
- *    that read it, behind one gate: at most `threads` execute at once
- *    and at most `queueCapacity` wait for a slot. A request beyond both
- *    is shed with an `E-SERVE-OVERLOAD` response instead of stacking
+ *    that read it, behind one gate (admission_gate.h): at most `threads`
+ *    execute, at most `queueCapacity` wait, first in first out. A request
+ *    beyond both is shed with `E-SERVE-OVERLOAD` instead of stacking
  *    latency until the process dies.
  *  - Deadlines: every request runs under a deadline, armed once it
  *    holds a slot and checked by the thread executing it; an overrun

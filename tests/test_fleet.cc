@@ -679,8 +679,7 @@ TEST(FleetEndToEndTest, SameCanonicalTextFindsTheWarmWorker)
 
 TEST(FleetEndToEndTest, PresetLoadsAnswerTheirCanonicalKey)
 {
-    // A preset's routing and cache key is computed once per process;
-    // through a fleet every preset load still answers the hash of its
+    // Through a fleet every preset load answers the hash of its
     // canonical text, a miss on first sight and a hit after.
     FleetHarness fleet(2, "presetkey");
     ASSERT_TRUE(fleet.ready());

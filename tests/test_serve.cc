@@ -15,7 +15,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <optional>
+#include <mutex>
 #include <random>
 #include <string>
 #include <thread>
@@ -30,6 +30,7 @@
 #include "core/sensitivity.h"
 #include "loopback_port.h"
 #include "protocol/idd.h"
+#include "serve/admission_gate.h"
 #include "serve/line_server.h"
 #include "serve/model_cache.h"
 #include "serve/protocol.h"
@@ -50,6 +51,25 @@ socketPath(const std::string& name)
     // Unix socket paths are limited to ~108 bytes; keep them short.
     return "/tmp/vdram_serve_" + name + "_" +
            std::to_string(::getpid()) + ".sock";
+}
+
+/** Poll @p done every 2 ms for up to 10 s; true once it holds. */
+template <typename Done>
+bool
+eventually(Done done)
+{
+    for (int i = 0; i < 5000 && !done(); ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    return done();
+}
+
+/** A gauge's current value; -1 when it was never set. */
+std::int64_t
+gaugeValue(const char* name)
+{
+    MetricsSnapshot metrics = globalMetrics().snapshot();
+    auto it = metrics.gauges.find(name);
+    return it == metrics.gauges.end() ? -1 : it->second;
 }
 
 /** Start a daemon on its own thread; stops and joins on destruction. */
@@ -235,26 +255,36 @@ TEST(ModelCacheTest, TextLookupHitsOnlyOnByteEquality)
     EXPECT_EQ(cache.evictions(), 1);
 }
 
-TEST(ModelCacheTest, PresetKeyIsTheMemoisedCanonicalKey)
+TEST(AdmissionGateTest, WaiterIsAdmittedBeforeALaterArrival)
 {
-    // First use races from four threads; every call agrees with a
-    // fresh build and write.
-    std::vector<std::thread> threads;
-    for (int t = 0; t < 4; ++t) {
-        threads.emplace_back([] {
-            for (const NamedPreset& preset : namedPresets())
-                presetCacheKey(preset.name);
-        });
-    }
-    for (std::thread& t : threads)
-        t.join();
-    ASSERT_EQ(namedPresets().size(), 11u);
-    for (const NamedPreset& preset : namedPresets()) {
-        std::optional<std::uint64_t> key = presetCacheKey(preset.name);
-        ASSERT_TRUE(key.has_value()) << preset.name;
-        EXPECT_EQ(*key, canonicalForm(preset.build()).key) << preset.name;
-    }
-    EXPECT_FALSE(presetCacheKey("nosuch").has_value());
+    // One slot, one waiting place. release() hands the slot to the
+    // waiter before it wakes, so a request arriving right after must
+    // wait its turn instead of taking the slot.
+    AdmissionGate gate(1, 1);
+    ASSERT_TRUE(gate.admit());
+    std::mutex mutex;
+    std::vector<int> order;
+    auto record = [&](int who) {
+        std::lock_guard<std::mutex> lock(mutex);
+        order.push_back(who);
+    };
+    std::thread waiter([&] {
+        EXPECT_TRUE(gate.admit());
+        record(1);
+        gate.release();
+    });
+    EXPECT_TRUE(eventually([&gate] { return gate.occupancy().waiting == 1; }));
+    EXPECT_FALSE(gate.admit()); // slot and waiting place taken: shed
+    gate.release();
+    EXPECT_TRUE(gate.admit()); // the later arrival
+    record(2);
+    gate.release();
+    waiter.join();
+
+    EXPECT_EQ(order, (std::vector<int>{1, 2}));
+    AdmissionGate::Occupancy idle = gate.occupancy();
+    EXPECT_EQ(idle.waiting, 0);
+    EXPECT_EQ(idle.running, 0);
 }
 
 // ---------------------------------------------------------------------
@@ -993,46 +1023,55 @@ TEST(ServeDaemonTest, StopWhileSessionsStreamDrainsWithInvariant)
 
 TEST(ServeDaemonTest, StatsReportsGateOccupancyWithAWaiter)
 {
-    // Two slots, every request 400 ms: a ping takes slot 1 at 0 ms and
-    // the stats request slot 2 at 80 ms; two more pings wait from 160
-    // and 240 ms. At 400 ms one of them takes slot 1, so when stats
-    // reads the gate (480 ms) two execute and one waits.
+    // One slot. A ping holds it in a 2 s delay while a ping, a stats
+    // request and another ping queue in that order; each step waits on
+    // the failpoint count or the gauges, not on a clock. The delay is
+    // then disarmed: the queued ping finishes at once, and stats reads
+    // the gate holding its own slot with the last ping still waiting.
     Result<std::vector<FailpointConfig>> configs =
-        parseFailpointSpec("serve.request=delay:400");
+        parseFailpointSpec("serve.request=delay:2000");
     ASSERT_TRUE(configs.ok());
     configureFailpoints(configs.value());
     setMetricsEnabled(true);
 
     ServeOptions options = baseOptions("gatestats");
-    options.threads = 2;
+    options.threads = 1;
     options.queueCapacity = 4;
     DaemonFixture daemon(options);
     ASSERT_TRUE(daemon.ready());
 
+    const char* ops[] = {"ping", "ping", "stats", "ping"};
     std::vector<std::thread> clients;
     std::vector<Result<std::string>> replies(
         4, Result<std::string>(std::string()));
     for (int i = 0; i < 4; ++i) {
-        clients.emplace_back([&daemon, &replies, i] {
+        clients.emplace_back([&daemon, &replies, &ops, i] {
             replies[i] = daemon.send(
-                strformat("{\"id\":%d,\"op\":\"%s\"}", i + 1,
-                          i == 1 ? "stats" : "ping"));
+                strformat("{\"id\":%d,\"op\":\"%s\"}", i + 1, ops[i]));
         });
-        std::this_thread::sleep_for(std::chrono::milliseconds(80));
+        if (i == 0) {
+            EXPECT_TRUE(eventually([] {
+                return failpointFireCount("serve.request") == 1;
+            }));
+        } else {
+            EXPECT_TRUE(eventually([i] {
+                return gaugeValue("serve.queue.depth") == i;
+            }));
+        }
     }
+    EXPECT_EQ(gaugeValue("serve.inflight"), 1);
+    clearFailpoints();
     for (std::thread& t : clients)
         t.join();
-    clearFailpoints();
-    MetricsSnapshot metrics = globalMetrics().snapshot();
+    EXPECT_EQ(gaugeValue("serve.queue.depth"), 0);
+    EXPECT_EQ(gaugeValue("serve.inflight"), 0);
     setMetricsEnabled(false);
 
     for (const Result<std::string>& reply : replies)
         ASSERT_TRUE(reply.ok()) << reply.error().toString();
-    const std::string& stats = replies[1].value();
+    const std::string& stats = replies[2].value();
     EXPECT_NE(stats.find("\"queueDepth\":1,"), std::string::npos) << stats;
-    EXPECT_NE(stats.find("\"inFlight\":2,"), std::string::npos) << stats;
-    EXPECT_EQ(metrics.gauges.count("serve.queue.depth"), 1u);
-    EXPECT_EQ(metrics.gauges.count("serve.inflight"), 1u);
+    EXPECT_NE(stats.find("\"inFlight\":1,"), std::string::npos) << stats;
 
     ServeStats final = daemon.stopAndJoin();
     EXPECT_EQ(final.requestsShed, 0);
